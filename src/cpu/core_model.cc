@@ -8,45 +8,36 @@ CoreModel::CoreModel(const std::string &name, EventQueue &eq,
                      stats::StatGroup *parent,
                      const WorkloadProfile &profile,
                      const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), profile_(profile),
-      params_(params), port_(port),
-      rng_(params.seed ^ std::hash<std::string>{}(profile.name)),
-      advanceEvent_([this] { missPoint(); }, name + ".advance")
+    : TrafficDriver(name, eq, domain, parent, port, params.sampler,
+                    params.capture, params.nestOverhead,
+                    [this] { missPoint(); }, ".advance"),
+      profile_(profile), params_(params),
+      rng_(params.seed ^ std::hash<std::string>{}(profile.name))
 {
     ct_assert(profile_.workingSet >= dmi::cacheLineSize);
     streamCursor_ = params_.memoryBase;
 }
 
-CoreModel::~CoreModel()
-{
-    if (advanceEvent_.scheduled())
-        eventq().deschedule(&advanceEvent_);
-}
-
 void
 CoreModel::start(std::function<void(const Result &)> done)
 {
-    ct_assert(!running_);
-    running_ = true;
-    done_ = std::move(done);
-    instructionsDone_ = 0;
+    beginRun(std::move(done));
     missesIssued_ = missesDone_ = 0;
-    startedAt_ = curTick();
     advance();
 }
 
 void
 CoreModel::advance()
 {
-    if (!running_ || stalled_ || advanceEvent_.scheduled())
+    if (!running() || stalled_ || driveEvent_.scheduled())
         return;
-    if (instructionsDone_ >= params_.instructions) {
+    if (workDone_ >= params_.instructions) {
         maybeFinish();
         return;
     }
 
     std::uint64_t remaining =
-        params_.instructions - instructionsDone_;
+        params_.instructions - workDone_;
     std::uint64_t seg;
     if (profile_.missesPerKiloInstr <= 0.0) {
         seg = remaining;
@@ -65,16 +56,16 @@ CoreModel::advance()
     // Compute time for the segment at the base (perfect-memory) CPI.
     Tick compute =
         Tick(double(seg) * profile_.baseCpi * double(clockPeriod()));
-    instructionsDone_ += seg;
-    eventq().schedule(&advanceEvent_, curTick() + compute);
+    workDone_ += seg;
+    eventq().schedule(&driveEvent_, curTick() + compute);
 }
 
 void
 CoreModel::missPoint()
 {
-    if (!running_)
+    if (!running())
         return;
-    if (instructionsDone_ >= params_.instructions
+    if (workDone_ >= params_.instructions
         && profile_.missesPerKiloInstr <= 0.0) {
         maybeFinish();
         return;
@@ -96,7 +87,7 @@ CoreModel::missPoint()
 
     if (!stalled_)
         advance();
-    if (instructionsDone_ >= params_.instructions)
+    if (workDone_ >= params_.instructions)
         maybeFinish();
 }
 
@@ -151,54 +142,19 @@ CoreModel::issueMiss(MissKind kind)
     }
     ++missesIssued_;
 
-    // Sampled mode: the controller decides whether this miss runs
-    // in detail. The RNG draws above happen unconditionally, so the
-    // address/kind/write streams are identical in both regimes.
-    bool detailed = true;
-    bool measured = false;
-    if (params_.sampler) {
-        detailed = params_.sampler->beginMiss(instructionsDone_,
-                                              curTick());
-        measured = detailed && params_.sampler->measuring();
-    }
+    // The RNG draws happen whether or not the sampler runs this miss
+    // in detail, so the address/kind/write streams are identical in
+    // both regimes. Every miss pays the nest overhead through a
+    // scheduled event.
     bool isWrite = rng_.chance(profile_.writeFraction);
-    if (params_.capture)
-        params_.capture->record(
-            curTick(), addr,
-            trace::makeOp(isWrite, kind == MissKind::chase));
-
-    if (!detailed) {
-        // Fast-forward: charge the calibrated estimate; stores still
-        // land in the memory image through the functional hook.
-        if (isWrite)
-            params_.sampler->warmWrite(addr, dmi::CacheLine{});
-        Tick charged = params_.sampler->chargedLatency()
-            + params_.nestOverhead;
-        OneShotEvent::schedule(eventq(), curTick() + charged,
-                               [this, kind] { missCompleted(kind); });
-        return;
-    }
-
-    auto completion = [this, kind,
-                       measured](const HostOpResult &r) {
-        if (measured && !r.failed)
-            params_.sampler->observeLatency(r.doneAt - r.issuedAt);
-        // Processor-side miss handling outside the channel.
-        OneShotEvent::schedule(eventq(),
-                               curTick() + params_.nestOverhead,
-                               [this, kind] { missCompleted(kind); });
-    };
-    if (isWrite) {
-        dmi::CacheLine line{};
-        port_.write(addr, line, completion);
-    } else {
-        port_.read(addr, completion);
-    }
+    trip(addr, trace::makeOp(isWrite, kind == MissKind::chase),
+         unsigned(kind), Nest::scheduled);
 }
 
 void
-CoreModel::missCompleted(MissKind kind)
+CoreModel::tripDone(unsigned token)
 {
+    MissKind kind = MissKind(token);
     ++missesDone_;
     switch (kind) {
       case MissKind::chase:
@@ -231,29 +187,27 @@ CoreModel::missCompleted(MissKind kind)
 void
 CoreModel::maybeFinish()
 {
-    if (!running_)
+    if (!running())
         return;
-    if (instructionsDone_ < params_.instructions)
+    if (workDone_ < params_.instructions)
         return;
     if (missesDone_ < missesIssued_ || pendingMiss_)
         return;
-    if (advanceEvent_.scheduled())
+    if (driveEvent_.scheduled())
         return;
+    endRun(workDone_);
+}
 
-    running_ = false;
-    if (params_.sampler)
-        params_.sampler->finishRun(instructionsDone_, curTick(),
-                                   instructionsDone_);
-    result_.runtime = curTick() - startedAt_;
-    result_.instructions = instructionsDone_;
+void
+CoreModel::completeResult()
+{
+    result_.instructions = workDone_;
     result_.misses = missesDone_;
     double cycles =
         double(result_.runtime) / double(clockPeriod());
     result_.cpi = cycles / double(result_.instructions);
     result_.ips = double(result_.instructions)
         / ticksToSeconds(result_.runtime);
-    if (done_)
-        done_(result_);
 }
 
 } // namespace contutto::cpu

@@ -20,10 +20,8 @@
 #include <functional>
 #include <string>
 
-#include "cpu/host_port.hh"
+#include "cpu/traffic_driver.hh"
 #include "sim/random.hh"
-#include "sim/sampling.hh"
-#include "trace/capture.hh"
 
 namespace contutto::cpu
 {
@@ -50,8 +48,22 @@ struct WorkloadProfile
     std::uint64_t workingSet = 64 * MiB;
 };
 
-/** Runs one profile to completion and reports the runtime. */
-class CoreModel : public SimObject
+/** What one CoreModel run reports. */
+struct CoreModelResult
+{
+    Tick runtime = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t misses = 0;
+    double cpi = 0.0;
+    /** Instructions per second at the modelled clock. */
+    double ips = 0.0;
+};
+
+/**
+ * Runs one profile to completion and reports the runtime. Its work
+ * axis (workDone()) is instructions retired.
+ */
+class CoreModel : public TrafficDriver<CoreModel, CoreModelResult>
 {
   public:
     struct Params
@@ -79,36 +91,19 @@ class CoreModel : public SimObject
         trace::CaptureSink *capture = nullptr;
     };
 
-    struct Result
-    {
-        Tick runtime = 0;
-        std::uint64_t instructions = 0;
-        std::uint64_t misses = 0;
-        double cpi = 0.0;
-        /** Instructions per second at the modelled clock. */
-        double ips = 0.0;
-    };
+    using Result = CoreModelResult;
 
     CoreModel(const std::string &name, EventQueue &eq,
               const ClockDomain &domain, stats::StatGroup *parent,
               const WorkloadProfile &profile, const Params &params,
               HostMemPort &port);
 
-    ~CoreModel() override;
-
     /** Begin execution; @p done fires at completion. */
     void start(std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
-    const Result &result() const { return result_; }
-
-    /** Instructions retired so far (live, for progress boards). */
-    std::uint64_t instructionsDone() const
-    {
-        return instructionsDone_;
-    }
-
   private:
+    friend TrafficDriver;
+
     enum class MissKind
     {
         chase,
@@ -119,16 +114,15 @@ class CoreModel : public SimObject
     void advance();
     void missPoint();
     void issueMiss(MissKind kind);
-    void missCompleted(MissKind kind);
+    /** A miss of kind @p token completed. */
+    void tripDone(unsigned token);
     void maybeFinish();
+    void completeResult();
 
     WorkloadProfile profile_;
     Params params_;
-    HostMemPort &port_;
     Rng rng_;
 
-    bool running_ = false;
-    std::uint64_t instructionsDone_ = 0;
     std::uint64_t missesIssued_ = 0;
     std::uint64_t missesDone_ = 0;
     unsigned outstandingRandom_ = 0;
@@ -138,10 +132,6 @@ class CoreModel : public SimObject
     MissKind pendingKind_ = MissKind::random;
     bool pendingMiss_ = false;
     Addr streamCursor_ = 0;
-    Tick startedAt_ = 0;
-    std::function<void(const Result &)> done_;
-    Result result_;
-    EventFunctionWrapper advanceEvent_;
 };
 
 } // namespace contutto::cpu

@@ -96,53 +96,43 @@ TraceReplayer::TraceReplayer(const std::string &name, EventQueue &eq,
                              const ClockDomain &domain,
                              stats::StatGroup *parent,
                              const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), params_(params),
-      port_(port),
-      advanceEvent_([this] { issueCurrent(); }, name + ".advance")
+    : TrafficDriver(name, eq, domain, parent, port, params.sampler,
+                    params.capture, params.nestOverhead,
+                    [this] { issueCurrent(); }, ".advance"),
+      params_(params)
 {
     ct_assert(params_.window > 0);
-}
-
-TraceReplayer::~TraceReplayer()
-{
-    if (advanceEvent_.scheduled())
-        eventq().deschedule(&advanceEvent_);
 }
 
 void
 TraceReplayer::start(const MemTrace &trace,
                      std::function<void(const Result &)> done)
 {
-    ct_assert(!running_);
-    running_ = true;
+    beginRun(std::move(done));
     trace_ = &trace;
-    next_ = 0;
     outstanding_ = 0;
     waitingDrain_ = false;
-    result_ = Result{};
-    startedAt_ = curTick();
-    done_ = std::move(done);
     advance();
 }
 
 void
 TraceReplayer::advance()
 {
-    if (!running_ || waitingDrain_ || advanceEvent_.scheduled())
+    if (!running() || waitingDrain_ || driveEvent_.scheduled())
         return;
-    if (next_ >= trace_->records.size()) {
+    if (workDone_ >= trace_->records.size()) {
         maybeFinish();
         return;
     }
-    const TraceRecord &rec = trace_->records[next_];
+    const TraceRecord &rec = trace_->records[workDone_];
     result_.computeTime += rec.delay;
-    eventq().schedule(&advanceEvent_, curTick() + rec.delay);
+    eventq().schedule(&driveEvent_, curTick() + rec.delay);
 }
 
 void
 TraceReplayer::issueCurrent()
 {
-    const TraceRecord &rec = trace_->records[next_];
+    const TraceRecord &rec = trace_->records[workDone_];
     if (rec.dependent && outstanding_ > 0) {
         // Drain before a dependent access.
         waitingDrain_ = true;
@@ -152,7 +142,7 @@ TraceReplayer::issueCurrent()
         waitingDrain_ = true; // window full: resume on completion
         return;
     }
-    ++next_;
+    ++workDone_;
     ++outstanding_;
     if (rec.isWrite)
         ++result_.writes;
@@ -162,84 +152,38 @@ TraceReplayer::issueCurrent()
     if (params_.caches) {
         auto filtered = params_.caches->access(rec.addr, rec.isWrite);
         if (filtered.writeback) {
-            // Dirty L3 victim: fire-and-forget to memory, but it
-            // occupies a window slot until it lands.
+            // Dirty L3 victim: fire-and-forget to memory, with no
+            // nest overhead, but it occupies a window slot until it
+            // lands.
             ++outstanding_;
             ++result_.writebacks;
-            if (params_.capture)
-                params_.capture->record(curTick(),
-                                        *filtered.writeback,
-                                        trace::Op::write);
-            issueMemory(*filtered.writeback, true, 0);
+            if (trip(*filtered.writeback, trace::Op::write, 0,
+                     Nest::none))
+                ++result_.detailed;
         }
         if (filtered.servedBy != CacheHierarchy::Level::memory) {
             // On-chip hit: completes after the level's latency.
             ++result_.cacheHits;
             OneShotEvent::schedule(eventq(),
                                    curTick() + filtered.delay,
-                                   [this] { accessDone(); });
+                                   [this] { tripDone(); });
             advance();
             return;
         }
     }
 
-    if (params_.capture)
-        params_.capture->record(
-            curTick(), rec.addr,
-            trace::makeOp(rec.isWrite, rec.dependent));
-    issueMemory(rec.addr, rec.isWrite, params_.nestOverhead);
+    if (trip(rec.addr, trace::makeOp(rec.isWrite, rec.dependent)))
+        ++result_.detailed;
     advance();
 }
 
 void
-TraceReplayer::issueMemory(Addr addr, bool isWrite,
-                           Tick nestOverhead)
-{
-    // Sampled mode: one decision per channel trip, keyed on trace
-    // progress so the time-per-record estimator has its work axis.
-    bool detailed = true;
-    bool measured = false;
-    if (params_.sampler) {
-        detailed = params_.sampler->beginMiss(next_, curTick());
-        measured = detailed && params_.sampler->measuring();
-    }
-
-    if (!detailed) {
-        if (isWrite)
-            params_.sampler->warmWrite(addr, dmi::CacheLine{});
-        Tick charged =
-            params_.sampler->chargedLatency() + nestOverhead;
-        OneShotEvent::schedule(eventq(), curTick() + charged,
-                               [this] { accessDone(); });
-        return;
-    }
-
-    auto completion = [this, measured,
-                       nestOverhead](const HostOpResult &r) {
-        if (measured && !r.failed)
-            params_.sampler->observeLatency(r.doneAt - r.issuedAt);
-        if (nestOverhead == 0) {
-            accessDone();
-            return;
-        }
-        OneShotEvent::schedule(eventq(), curTick() + nestOverhead,
-                               [this] { accessDone(); });
-    };
-    if (isWrite) {
-        dmi::CacheLine line{};
-        port_.write(addr, line, completion);
-    } else {
-        port_.read(addr, completion);
-    }
-}
-
-void
-TraceReplayer::accessDone()
+TraceReplayer::tripDone(unsigned)
 {
     ct_assert(outstanding_ > 0);
     --outstanding_;
     if (waitingDrain_) {
-        const TraceRecord &rec = trace_->records[next_];
+        const TraceRecord &rec = trace_->records[workDone_];
         bool can_issue = rec.dependent ? outstanding_ == 0
                                        : outstanding_
                                              < params_.window;
@@ -254,45 +198,28 @@ TraceReplayer::accessDone()
 void
 TraceReplayer::maybeFinish()
 {
-    if (!running_ || next_ < trace_->records.size()
-        || outstanding_ > 0)
-        return;
-    running_ = false;
-    if (params_.sampler)
-        params_.sampler->finishRun(trace_->records.size(), curTick(),
-                                   next_);
-    result_.runtime = curTick() - startedAt_;
-    if (done_)
-        done_(result_);
+    if (running() && workDone_ >= trace_->records.size()
+        && outstanding_ == 0)
+        endRun(trace_->records.size());
 }
 
 TimedTraceReplayer::TimedTraceReplayer(
     const std::string &name, EventQueue &eq,
     const ClockDomain &domain, stats::StatGroup *parent,
     const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), params_(params),
-      port_(port),
-      issueEvent_([this] { issueDue(); }, name + ".issue")
+    : TrafficDriver(name, eq, domain, parent, port, params.sampler,
+                    params.capture, params.nestOverhead,
+                    [this] { issueDue(); }, ".issue"),
+      params_(params)
 {}
-
-TimedTraceReplayer::~TimedTraceReplayer()
-{
-    if (issueEvent_.scheduled())
-        eventq().deschedule(&issueEvent_);
-}
 
 void
 TimedTraceReplayer::start(const trace::MappedTrace &trace,
                           std::function<void(const Result &)> done)
 {
-    ct_assert(!running_);
-    running_ = true;
+    beginRun(std::move(done));
     trace_ = &trace;
-    next_ = 0;
     outstanding_ = 0;
-    result_ = Result{};
-    startedAt_ = curTick();
-    done_ = std::move(done);
     if (trace.recordCount() == 0) {
         maybeFinish();
         return;
@@ -310,11 +237,11 @@ TimedTraceReplayer::start(const trace::MappedTrace &trace,
 void
 TimedTraceReplayer::scheduleNext()
 {
-    if (next_ >= trace_->recordCount()) {
+    if (workDone_ >= trace_->recordCount()) {
         maybeFinish();
         return;
     }
-    eventq().schedule(&issueEvent_, nextTick_ + shift_);
+    eventq().schedule(&driveEvent_, nextTick_ + shift_);
 }
 
 void
@@ -323,67 +250,27 @@ TimedTraceReplayer::issueDue()
     // Issue every record whose (shifted) tick is now; records are
     // decoded straight off the mmap, one at a time.
     Tick now = curTick();
-    while (next_ < trace_->recordCount()
+    while (workDone_ < trace_->recordCount()
            && nextTick_ + shift_ == now) {
-        trace::Record rec = trace_->record(next_);
-        bool isWrite = trace::opIsWrite(rec.op);
-        if (isWrite)
+        trace::Record rec = trace_->record(workDone_);
+        if (trace::opIsWrite(rec.op))
             ++result_.writes;
         else
             ++result_.reads;
         ++result_.replayed;
         ++outstanding_;
-        if (params_.capture)
-            params_.capture->record(now, rec.addr, rec.op,
-                                    rec.sizeLog2, rec.threadId);
-
-        bool detailed = true;
-        bool measured = false;
-        if (params_.sampler) {
-            detailed = params_.sampler->beginMiss(next_, now);
-            measured = detailed && params_.sampler->measuring();
-        }
-
-        if (!detailed) {
-            if (isWrite)
-                params_.sampler->warmWrite(rec.addr,
-                                           dmi::CacheLine{});
-            Tick charged = params_.sampler->chargedLatency()
-                + params_.nestOverhead;
-            OneShotEvent::schedule(eventq(), now + charged,
-                                   [this] { accessDone(); });
-        } else {
+        if (trip(rec.addr, rec.op, 0, Nest::charged, &rec))
             ++result_.detailed;
-            auto completion = [this,
-                               measured](const HostOpResult &r) {
-                if (measured && !r.failed)
-                    params_.sampler->observeLatency(r.doneAt
-                                                    - r.issuedAt);
-                if (params_.nestOverhead == 0) {
-                    accessDone();
-                    return;
-                }
-                OneShotEvent::schedule(
-                    eventq(), curTick() + params_.nestOverhead,
-                    [this] { accessDone(); });
-            };
-            if (isWrite) {
-                dmi::CacheLine line{};
-                port_.write(rec.addr, line, completion);
-            } else {
-                port_.read(rec.addr, completion);
-            }
-        }
 
-        ++next_;
-        if (next_ < trace_->recordCount())
-            nextTick_ += trace_->record(next_).tickDelta;
+        ++workDone_;
+        if (workDone_ < trace_->recordCount())
+            nextTick_ += trace_->record(workDone_).tickDelta;
     }
     scheduleNext();
 }
 
 void
-TimedTraceReplayer::accessDone()
+TimedTraceReplayer::tripDone(unsigned)
 {
     ct_assert(outstanding_ > 0);
     --outstanding_;
@@ -393,16 +280,9 @@ TimedTraceReplayer::accessDone()
 void
 TimedTraceReplayer::maybeFinish()
 {
-    if (!running_ || next_ < trace_->recordCount()
-        || outstanding_ > 0)
-        return;
-    running_ = false;
-    if (params_.sampler)
-        params_.sampler->finishRun(trace_->recordCount(), curTick(),
-                                   next_);
-    result_.runtime = curTick() - startedAt_;
-    if (done_)
-        done_(result_);
+    if (running() && workDone_ >= trace_->recordCount()
+        && outstanding_ == 0)
+        endRun(trace_->recordCount());
 }
 
 } // namespace contutto::cpu

@@ -28,10 +28,8 @@
 #include <vector>
 
 #include "cpu/cache_hierarchy.hh"
-#include "cpu/host_port.hh"
+#include "cpu/traffic_driver.hh"
 #include "sim/random.hh"
-#include "sim/sampling.hh"
-#include "trace/capture.hh"
 #include "trace/reader.hh"
 
 namespace contutto::cpu
@@ -77,8 +75,29 @@ struct MemTrace
     static MemTrace fromBinary(const trace::MappedTrace &bin);
 };
 
-/** Replays a trace through a host port. */
-class TraceReplayer : public SimObject
+/** What one TraceReplayer run reports. */
+struct TraceReplayResult
+{
+    Tick runtime = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    /** Sum of trace compute delays (the memory-independent
+     *  floor of the runtime). */
+    Tick computeTime = 0;
+    /** References served by the caches (when configured). */
+    std::uint64_t cacheHits = 0;
+    /** Dirty-victim writebacks sent to memory. */
+    std::uint64_t writebacks = 0;
+    /** Channel trips (misses and writebacks) run in detail. */
+    std::uint64_t detailed = 0;
+};
+
+/**
+ * Replays a trace through a host port. Its work axis (workDone())
+ * is records issued, which is also the index of the next record.
+ */
+class TraceReplayer
+    : public TrafficDriver<TraceReplayer, TraceReplayResult>
 {
   public:
     struct Params
@@ -111,53 +130,42 @@ class TraceReplayer : public SimObject
         trace::CaptureSink *capture = nullptr;
     };
 
-    struct Result
-    {
-        Tick runtime = 0;
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        /** Sum of trace compute delays (the memory-independent
-         *  floor of the runtime). */
-        Tick computeTime = 0;
-        /** References served by the caches (when configured). */
-        std::uint64_t cacheHits = 0;
-        /** Dirty-victim writebacks sent to memory. */
-        std::uint64_t writebacks = 0;
-    };
+    using Result = TraceReplayResult;
 
     TraceReplayer(const std::string &name, EventQueue &eq,
                   const ClockDomain &domain, stats::StatGroup *parent,
                   const Params &params, HostMemPort &port);
 
-    ~TraceReplayer() override;
-
     /** Start replaying @p trace; @p done fires at completion. */
     void start(const MemTrace &trace,
                std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
-
-    /** Records issued so far (live, for progress boards). */
-    std::uint64_t issuedSoFar() const { return next_; }
-
   private:
+    friend TrafficDriver;
+
     void advance();
     void issueCurrent();
-    void issueMemory(Addr addr, bool isWrite, Tick nestOverhead);
-    void accessDone();
+    /** A channel trip or an on-chip hit completed. */
+    void tripDone(unsigned = 0);
     void maybeFinish();
 
     Params params_;
-    HostMemPort &port_;
     const MemTrace *trace_ = nullptr;
-    std::size_t next_ = 0;
     unsigned outstanding_ = 0;
     bool waitingDrain_ = false;
-    bool running_ = false;
-    Tick startedAt_ = 0;
-    Result result_;
-    std::function<void(const Result &)> done_;
-    EventFunctionWrapper advanceEvent_;
+};
+
+/** What one TimedTraceReplayer run reports. */
+struct TimedReplayResult
+{
+    /** Last completion minus first issue. */
+    Tick runtime = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    /** Records replayed (== the trace's recordCount). */
+    std::uint64_t replayed = 0;
+    /** Records that travelled the channel in detail. */
+    std::uint64_t detailed = 0;
 };
 
 /**
@@ -178,8 +186,10 @@ class TraceReplayer : public SimObject
  * controller is consulted per record, and fast-forwarded records
  * complete from the calibrated estimate without touching the
  * channel — the path that streams millions of records per second.
+ * The work axis (workDone()) is records issued.
  */
-class TimedTraceReplayer : public SimObject
+class TimedTraceReplayer
+    : public TrafficDriver<TimedTraceReplayer, TimedReplayResult>
 {
   public:
     struct Params
@@ -194,54 +204,34 @@ class TimedTraceReplayer : public SimObject
         trace::CaptureSink *capture = nullptr;
     };
 
-    struct Result
-    {
-        /** Last completion minus first issue. */
-        Tick runtime = 0;
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        /** Records replayed (== the trace's recordCount). */
-        std::uint64_t replayed = 0;
-        /** Records that travelled the channel in detail. */
-        std::uint64_t detailed = 0;
-    };
+    using Result = TimedReplayResult;
 
     TimedTraceReplayer(const std::string &name, EventQueue &eq,
                        const ClockDomain &domain,
                        stats::StatGroup *parent,
                        const Params &params, HostMemPort &port);
 
-    ~TimedTraceReplayer() override;
-
     /** Start replaying @p trace; @p done fires at completion. */
     void start(const trace::MappedTrace &trace,
                std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
     /** The rigid shift applied to recorded ticks this run. */
     Tick shift() const { return shift_; }
-    /** Records issued so far (live, for progress boards). */
-    std::uint64_t replayedSoFar() const { return result_.replayed; }
 
   private:
+    friend TrafficDriver;
+
     void issueDue();
     void scheduleNext();
-    void accessDone();
+    void tripDone(unsigned = 0);
     void maybeFinish();
 
     Params params_;
-    HostMemPort &port_;
     const trace::MappedTrace *trace_ = nullptr;
-    std::uint64_t next_ = 0;
-    /** Absolute (unshifted) tick of record next_. */
+    /** Absolute (unshifted) tick of the next record. */
     Tick nextTick_ = 0;
     Tick shift_ = 0;
     std::uint64_t outstanding_ = 0;
-    bool running_ = false;
-    Tick startedAt_ = 0;
-    Result result_;
-    std::function<void(const Result &)> done_;
-    EventFunctionWrapper issueEvent_;
 };
 
 } // namespace contutto::cpu

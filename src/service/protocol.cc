@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <initializer_list>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -316,6 +317,71 @@ putCounter(Json &payload, const char *name, std::uint64_t v)
     payload.set(name, Json::number(v));
 }
 
+/**
+ * The trained system a spec or trace campaign runs on: Centaur
+ * (@p buffer 0, @p knob picks one of its four configs) on one 1 GiB
+ * DIMM, or ConTutto (@p buffer 1, @p knob is the MBS latency knob)
+ * on two 512 MiB DIMMs. @p kind prefixes the training error.
+ */
+std::unique_ptr<cpu::Power8System>
+buildSystem(unsigned buffer, unsigned knob, const char *kind)
+{
+    cpu::Power8System::Params sp;
+    if (buffer == 0) {
+        const centaur::CentaurModel::Config configs[] = {
+            centaur::CentaurModel::optimized(),
+            centaur::CentaurModel::balanced(),
+            centaur::CentaurModel::conservative(),
+            centaur::CentaurModel::slowest(),
+        };
+        sp.buffer = cpu::BufferKind::centaur;
+        sp.centaurConfig = configs[knob];
+        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
+                                  {}}};
+    } else {
+        sp.buffer = cpu::BufferKind::contutto;
+        sp.dimms = {
+            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
+            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
+    }
+    auto sys = std::make_unique<cpu::Power8System>(sp);
+    if (!sys->train())
+        throw std::runtime_error(std::string(kind)
+                                 + ": link training failed");
+    if (buffer == 1)
+        sys->card()->mbs().setKnobPosition(knob);
+    return sys;
+}
+
+/**
+ * Step @p sys until @p driver's run ends, polling @p cancel and
+ * publishing the driver's progress out of @p workTotal every 4096
+ * events.
+ */
+template <typename Driver>
+void
+runDriver(cpu::Power8System &sys, const Driver &driver,
+          std::uint64_t workTotal, const std::atomic<bool> &cancel,
+          CampaignJob::Progress *progress)
+{
+    if (progress)
+        progress->workTotal.store(workTotal,
+                                  std::memory_order_relaxed);
+    std::uint64_t steps = 0;
+    while (driver.running() && sys.eventq().step()) {
+        if ((++steps & 0xfff) != 0)
+            continue;
+        if (cancel.load(std::memory_order_relaxed))
+            throw CampaignJob::Cancelled{};
+        if (progress)
+            progress->workDone.store(driver.workDone(),
+                                     std::memory_order_relaxed);
+    }
+    if (progress)
+        progress->workDone.store(workTotal,
+                                 std::memory_order_relaxed);
+}
+
 } // namespace
 
 std::string
@@ -326,62 +392,19 @@ CampaignJob::runSpec(const std::atomic<bool> &cancel,
     const cpu::WorkloadProfile &prof =
         profiles.at(spec_.benchmark);
 
-    cpu::Power8System::Params sp;
-    if (spec_.buffer == 0) {
-        const centaur::CentaurModel::Config configs[] = {
-            centaur::CentaurModel::optimized(),
-            centaur::CentaurModel::balanced(),
-            centaur::CentaurModel::conservative(),
-            centaur::CentaurModel::slowest(),
-        };
-        sp.buffer = cpu::BufferKind::centaur;
-        sp.centaurConfig = configs[spec_.knob];
-        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
-                                  {}}};
-    } else {
-        sp.buffer = cpu::BufferKind::contutto;
-        sp.dimms = {
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
-    }
-    cpu::Power8System sys(sp);
-    if (!sys.train())
-        throw std::runtime_error("spec: link training failed");
-    if (spec_.buffer == 1)
-        sys.card()->mbs().setKnobPosition(spec_.knob);
-
+    auto sys = buildSystem(spec_.buffer, spec_.knob, "spec");
     ClockDomain core("core", 250); // 4 GHz POWER8 core
     cpu::CoreModel::Params cp;
     cp.instructions = spec_.instructions;
-    cp.nestOverhead = sys.params().nestOverhead;
+    cp.nestOverhead = sys->params().nestOverhead;
     cp.seed = seed_;
     if (spec_.sampling.enabled)
-        cp.sampler = &sys.enableSampling(spec_.sampling, seed_);
-    cpu::CoreModel model("core." + prof.name, sys.eventq(), core,
-                         &sys, prof, cp, sys.port());
-
-    if (progress)
-        progress->workTotal.store(spec_.instructions,
-                                  std::memory_order_relaxed);
-    bool finished = false;
-    cpu::CoreModel::Result r;
-    model.start([&](const cpu::CoreModel::Result &res) {
-        r = res;
-        finished = true;
-    });
-    std::uint64_t steps = 0;
-    while (!finished && sys.eventq().step()) {
-        if ((++steps & 0xfff) != 0)
-            continue;
-        if (cancel.load(std::memory_order_relaxed))
-            throw Cancelled{};
-        if (progress)
-            progress->workDone.store(model.instructionsDone(),
-                                     std::memory_order_relaxed);
-    }
-    if (progress)
-        progress->workDone.store(spec_.instructions,
-                                 std::memory_order_relaxed);
+        cp.sampler = &sys->enableSampling(spec_.sampling, seed_);
+    cpu::CoreModel model("core." + prof.name, sys->eventq(), core,
+                         sys.get(), prof, cp, sys->port());
+    model.start(nullptr);
+    runDriver(*sys, model, spec_.instructions, cancel, progress);
+    const cpu::CoreModel::Result &r = model.result();
 
     // All-integer payload: byte-identical whether computed fresh,
     // replayed from the memo, or recomputed after a restart.
@@ -393,7 +416,7 @@ CampaignJob::runSpec(const std::atomic<bool> &cancel,
                 Json::string(spec_.sampling.enabled ? "sampled"
                                                     : "detailed"));
     if (spec_.sampling.enabled) {
-        const sim::SamplingReport &rep = sys.sampler()->report();
+        const sim::SamplingReport &rep = sys->sampler()->report();
         putCounter(payload, "windows", rep.windows);
         putCounter(payload, "detailedMisses", rep.detailedUnits);
         putCounter(payload, "fastForwardMisses",
@@ -417,112 +440,49 @@ CampaignJob::runTrace(const std::atomic<bool> &cancel,
             + hashHex(bin.checksum()) + " != admitted "
             + hashHex(trace_.checksum) + ")");
 
-    cpu::Power8System::Params sp;
-    if (trace_.buffer == 0) {
-        const centaur::CentaurModel::Config configs[] = {
-            centaur::CentaurModel::optimized(),
-            centaur::CentaurModel::balanced(),
-            centaur::CentaurModel::conservative(),
-            centaur::CentaurModel::slowest(),
-        };
-        sp.buffer = cpu::BufferKind::centaur;
-        sp.centaurConfig = configs[trace_.knob];
-        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
-                                  {}}};
-    } else {
-        sp.buffer = cpu::BufferKind::contutto;
-        sp.dimms = {
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
-    }
-    cpu::Power8System sys(sp);
-    if (!sys.train())
-        throw std::runtime_error("trace: link training failed");
-    if (trace_.buffer == 1)
-        sys.card()->mbs().setKnobPosition(trace_.knob);
-
+    auto sys = buildSystem(trace_.buffer, trace_.knob, "trace");
     ClockDomain core("core", 250);
     sim::SamplingController *sampler = nullptr;
     if (trace_.sampling.enabled)
-        sampler = &sys.enableSampling(trace_.sampling, seed_);
-
-    if (progress)
-        progress->workTotal.store(bin.recordCount(),
-                                  std::memory_order_relaxed);
-    bool finished = false;
-    std::uint64_t reads = 0, writes = 0, detailed = 0;
-    Tick runtime = 0;
-    auto pump = [&](auto &rep) {
-        std::uint64_t steps = 0;
-        while (!finished && sys.eventq().step()) {
-            if ((++steps & 0xfff) != 0)
-                continue;
-            if (cancel.load(std::memory_order_relaxed))
-                throw Cancelled{};
-            if (progress)
-                progress->workDone.store(
-                    rep.issuedSoFar(), std::memory_order_relaxed);
-        }
-    };
-    if (trace_.timed) {
-        cpu::TimedTraceReplayer::Params tp;
-        tp.nestOverhead = sys.params().nestOverhead;
-        tp.sampler = sampler;
-        cpu::TimedTraceReplayer rep("replay", sys.eventq(), core,
-                                    &sys, tp, sys.port());
-        rep.start(bin, [&](const auto &r) {
-            reads = r.reads;
-            writes = r.writes;
-            detailed = r.detailed;
-            runtime = r.runtime;
-            finished = true;
-        });
-        struct Adapter
-        {
-            cpu::TimedTraceReplayer &rep;
-            std::uint64_t issuedSoFar() const
-            {
-                return rep.replayedSoFar();
-            }
-        } adapter{rep};
-        pump(adapter);
-    } else {
-        cpu::MemTrace mem = cpu::MemTrace::fromBinary(bin);
-        cpu::TraceReplayer::Params tp;
-        tp.window = trace_.window;
-        tp.nestOverhead = sys.params().nestOverhead;
-        tp.sampler = sampler;
-        cpu::TraceReplayer rep("replay", sys.eventq(), core, &sys,
-                               tp, sys.port());
-        rep.start(mem, [&](const auto &r) {
-            reads = r.reads;
-            writes = r.writes;
-            detailed = r.reads + r.writes;
-            runtime = r.runtime;
-            finished = true;
-        });
-        pump(rep);
-    }
-    if (progress)
-        progress->workDone.store(bin.recordCount(),
-                                 std::memory_order_relaxed);
+        sampler = &sys->enableSampling(trace_.sampling, seed_);
 
     // All-integer payload, as everywhere: byte-identical fresh,
     // memoized, or recomputed.
     payload.set("traceChecksum",
                 Json::string(hashHex(trace_.checksum)));
     putCounter(payload, "records", bin.recordCount());
-    putCounter(payload, "reads", reads);
-    putCounter(payload, "writes", writes);
-    putCounter(payload, "detailedTrips", detailed);
-    putCounter(payload, "runtimeTicks", runtime);
+    auto replay = [&](auto &rep, const auto &input) {
+        rep.start(input, nullptr);
+        runDriver(*sys, rep, bin.recordCount(), cancel, progress);
+        putCounter(payload, "reads", rep.result().reads);
+        putCounter(payload, "writes", rep.result().writes);
+        putCounter(payload, "detailedTrips", rep.result().detailed);
+        putCounter(payload, "runtimeTicks", rep.result().runtime);
+    };
+    if (trace_.timed) {
+        cpu::TimedTraceReplayer::Params tp;
+        tp.nestOverhead = sys->params().nestOverhead;
+        tp.sampler = sampler;
+        cpu::TimedTraceReplayer rep("replay", sys->eventq(), core,
+                                    sys.get(), tp, sys->port());
+        replay(rep, bin);
+    } else {
+        cpu::MemTrace mem = cpu::MemTrace::fromBinary(bin);
+        cpu::TraceReplayer::Params tp;
+        tp.window = trace_.window;
+        tp.nestOverhead = sys->params().nestOverhead;
+        tp.sampler = sampler;
+        cpu::TraceReplayer rep("replay", sys->eventq(), core,
+                               sys.get(), tp, sys->port());
+        replay(rep, mem);
+    }
     payload.set("replayMode", Json::string(trace_.timed ? "timed"
                                                         : "window"));
     payload.set("simMode",
                 Json::string(trace_.sampling.enabled ? "sampled"
                                                      : "detailed"));
     if (trace_.sampling.enabled) {
-        const sim::SamplingReport &rep = sys.sampler()->report();
+        const sim::SamplingReport &rep = sys->sampler()->report();
         putCounter(payload, "windows", rep.windows);
         putCounter(payload, "detailedMisses", rep.detailedUnits);
         putCounter(payload, "fastForwardMisses",

@@ -386,6 +386,21 @@ TEST(Protocol, TracePayloadDeterministicBothReplayModes)
     EXPECT_GT(ps.at("windows").asU64(), 0u);
     EXPECT_GT(ps.at("fastForwardMisses").asU64(), 0u);
     EXPECT_LT(ps.at("detailedTrips").asU64(), 2000u);
+
+    // Sampled window replay reports the trips it ran in detail, not
+    // every record.
+    CampaignJob sw("trace", 11,
+                   traceConfig(path, "{\"timed\":0,\"window\":4,"
+                                     "\"sampleMode\":1,"
+                                     "\"sampleWarmup\":8,"
+                                     "\"sampleWindow\":32,"
+                                     "\"samplePeriod\":256}"));
+    Json psw = Json::parse(sw.run(cancel));
+    EXPECT_EQ(psw.at("replayMode").asString(), "window");
+    EXPECT_EQ(psw.at("simMode").asString(), "sampled");
+    EXPECT_EQ(psw.at("detailedTrips").asU64(),
+              psw.at("detailedMisses").asU64());
+    EXPECT_LT(psw.at("detailedTrips").asU64(), 2000u);
 }
 
 TEST(Protocol, TraceFileChangedAfterAdmissionIsRejected)

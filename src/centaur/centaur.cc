@@ -306,8 +306,12 @@ CentaurModel::issueReadAccess(std::uint8_t tag)
             // Write-through cache: fills are never dirty.
             cache_.fill(c.addr);
             if (config_.prefetchEnabled) {
+                // The line after the last one of the channel has
+                // nothing to prefetch.
                 Addr next = c.addr + cacheLineSize;
-                if (!cache_.probe(next)) {
+                bool inRange = localAddr(next) + cacheLineSize
+                    <= portFor(next).device().capacity();
+                if (inRange && !cache_.probe(next)) {
                     ++stats_.prefetches;
                     auto pf = std::make_shared<MemRequest>();
                     pf->addr = localAddr(next);

@@ -82,6 +82,31 @@ TEST(Centaur, PrefetchFillsNextLine)
     EXPECT_GE(buf->centaurStats().cacheHits.value(), 1.0);
 }
 
+TEST(Centaur, ReadOfLastLineDoesNotPrefetchPastChannel)
+{
+    Power8System::Params p =
+        centaurSystem(centaur::CentaurModel::optimized());
+    p.dimms = {DimmSpec{mem::MemTech::dram, 64 * MiB, {}, {}}};
+    Power8System sys(p);
+    ASSERT_TRUE(sys.train());
+    auto *buf = sys.centaurBuffer();
+
+    // The line after the last one lies past the channel: no
+    // prefetch, and the read itself completes normally.
+    bool ok = false;
+    sys.port().read(64 * MiB - 128, [&](const HostOpResult &r) {
+        ok = !r.failed;
+    });
+    ASSERT_TRUE(sys.runUntilIdle());
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(buf->centaurStats().prefetches.value(), 0.0);
+
+    // Further from the end, the next line is prefetched as usual.
+    sys.port().read(64 * MiB - 512, nullptr);
+    ASSERT_TRUE(sys.runUntilIdle());
+    EXPECT_EQ(buf->centaurStats().prefetches.value(), 1.0);
+}
+
 TEST(Centaur, ConfigsOrderLatencies)
 {
     // The Table 2 knob presets must produce strictly increasing

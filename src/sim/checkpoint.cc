@@ -47,20 +47,6 @@ namespace
 
 constexpr char kMagic[8] = {'C', 'T', 'C', 'K', 'P', 'T', '1', '\n'};
 
-void
-appendU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(v));
-}
-
-void
-appendU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(v));
-}
-
 /** Bounds-checked cursor over a raw checkpoint image. */
 class Reader
 {
@@ -135,20 +121,32 @@ Checkpoint::has(const std::string &name) const
 std::vector<std::uint8_t>
 Checkpoint::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-    appendU32(out, formatVersion);
-    appendU32(out, std::uint32_t(sections_.size()));
+    // Size the image once, then fill it in place.
+    std::size_t total = sizeof(kMagic) + 2 * sizeof(std::uint32_t)
+        + sizeof(std::uint64_t);
+    for (const Section &s : sections_)
+        total += sizeof(std::uint32_t) + s.name().size()
+            + 2 * sizeof(std::uint64_t) + s.bytes().size();
+    std::vector<std::uint8_t> out(total);
+    std::uint8_t *at = out.data();
+    auto put = [&at](const void *src, std::size_t len) {
+        std::memcpy(at, src, len);
+        at += len;
+    };
+    auto putU32 = [&put](std::uint32_t v) { put(&v, sizeof(v)); };
+    auto putU64 = [&put](std::uint64_t v) { put(&v, sizeof(v)); };
+
+    put(kMagic, sizeof(kMagic));
+    putU32(formatVersion);
+    putU32(std::uint32_t(sections_.size()));
     for (const Section &s : sections_) {
-        appendU32(out, std::uint32_t(s.name().size()));
-        const auto *np =
-            reinterpret_cast<const std::uint8_t *>(s.name().data());
-        out.insert(out.end(), np, np + s.name().size());
-        appendU64(out, s.bytes().size());
-        appendU64(out, fnv1a(s.bytes().data(), s.bytes().size()));
-        out.insert(out.end(), s.bytes().begin(), s.bytes().end());
+        putU32(std::uint32_t(s.name().size()));
+        put(s.name().data(), s.name().size());
+        putU64(s.bytes().size());
+        putU64(fnv1a(s.bytes().data(), s.bytes().size()));
+        put(s.bytes().data(), s.bytes().size());
     }
-    appendU64(out, fnv1a(out.data(), out.size()));
+    putU64(fnv1a(out.data(), total - sizeof(std::uint64_t)));
     return out;
 }
 

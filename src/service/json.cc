@@ -455,8 +455,12 @@ class Parser
             }
             return n;
         };
-        if (digits() == 0)
+        const bool leadingZero = peek() == '0';
+        const std::size_t intDigits = digits();
+        if (intDigits == 0)
             throw ProtocolError("json: bad number");
+        if (leadingZero && intDigits > 1)
+            throw ProtocolError("json: leading zero in number");
         if (pos_ < s_.size() && s_[pos_] == '.') {
             ++pos_;
             if (digits() == 0)

@@ -1,9 +1,6 @@
 #include "sim/telemetry.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 namespace contutto::telemetry
@@ -46,181 +43,6 @@ void
 writePerfettoTrace(std::ostream &os)
 {
     writePerfettoTrace(span::snapshot(), os);
-}
-
-namespace
-{
-
-/** Minimal recursive-descent JSON checker (RFC 8259 subset). */
-struct Lint
-{
-    const char *p;
-    const char *end;
-
-    void ws()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n'
-                           || *p == '\r'))
-            ++p;
-    }
-
-    bool lit(const char *s)
-    {
-        std::size_t n = std::strlen(s);
-        if (std::size_t(end - p) < n || std::strncmp(p, s, n) != 0)
-            return false;
-        p += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (p >= end || *p != '"')
-            return false;
-        ++p;
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return false;
-                if (*p == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++p;
-                        if (p >= end || !std::isxdigit(
-                                static_cast<unsigned char>(*p)))
-                            return false;
-                    }
-                }
-            } else if (static_cast<unsigned char>(*p) < 0x20) {
-                return false;
-            }
-            ++p;
-        }
-        if (p >= end)
-            return false;
-        ++p; // closing quote
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = p;
-        if (p < end && *p == '-')
-            ++p;
-        if (p >= end || !std::isdigit(static_cast<unsigned char>(*p)))
-            return false;
-        if (*p == '0') {
-            ++p; // RFC 8259: no leading zeros ("01" is not a number)
-        } else {
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        if (p < end && *p == '.') {
-            ++p;
-            if (p >= end
-                || !std::isdigit(static_cast<unsigned char>(*p)))
-                return false;
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        if (p < end && (*p == 'e' || *p == 'E')) {
-            ++p;
-            if (p < end && (*p == '+' || *p == '-'))
-                ++p;
-            if (p >= end
-                || !std::isdigit(static_cast<unsigned char>(*p)))
-                return false;
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        return p > start;
-    }
-
-    bool value()
-    {
-        ws();
-        if (p >= end)
-            return false;
-        switch (*p) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return lit("true");
-          case 'f': return lit("false");
-          case 'n': return lit("null");
-          default: return number();
-        }
-    }
-
-    bool object()
-    {
-        ++p; // '{'
-        ws();
-        if (p < end && *p == '}') {
-            ++p;
-            return true;
-        }
-        while (true) {
-            ws();
-            if (!string())
-                return false;
-            ws();
-            if (p >= end || *p != ':')
-                return false;
-            ++p;
-            if (!value())
-                return false;
-            ws();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool array()
-    {
-        ++p; // '['
-        ws();
-        if (p < end && *p == ']') {
-            ++p;
-            return true;
-        }
-        while (true) {
-            if (!value())
-                return false;
-            ws();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            return false;
-        }
-    }
-};
-
-} // namespace
-
-bool
-jsonLint(const std::string &text)
-{
-    Lint l{text.data(), text.data() + text.size()};
-    if (!l.value())
-        return false;
-    l.ws();
-    return l.p == l.end;
 }
 
 IntervalDumper::IntervalDumper(EventQueue &eq,

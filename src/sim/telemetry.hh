@@ -15,9 +15,6 @@
  *    tree; IntervalDumper takes such snapshots periodically on the
  *    event queue and writes them out as one JSON array, giving
  *    benches a time series rather than only an end-of-run total.
- *
- * jsonLint() is a strict little validator used by the exporters'
- * tests and by benches that want to self-check their output files.
  */
 
 #ifndef CONTUTTO_SIM_TELEMETRY_HH
@@ -43,9 +40,6 @@ void writePerfettoTrace(const std::vector<span::Span> &spans,
 
 /** Convenience: export the span tracker's current capture. */
 void writePerfettoTrace(std::ostream &os);
-
-/** True when @p text is one strictly valid JSON value. */
-bool jsonLint(const std::string &text);
 
 /**
  * Periodic stats snapshots: every @p period ticks the group tree is

@@ -26,6 +26,13 @@ TEST(Json, ScalarsRoundTrip)
     EXPECT_EQ(Json::parse("-7").asI64(), -7);
     EXPECT_DOUBLE_EQ(Json::parse("2.5").asDouble(), 2.5);
     EXPECT_EQ(Json::parse("\"hi\\n\"").asString(), "hi\n");
+    EXPECT_EQ(Json::parse("0").asU64(), 0u);
+    EXPECT_DOUBLE_EQ(Json::parse("-0.5").asDouble(), -0.5);
+    EXPECT_DOUBLE_EQ(Json::parse("-1.5e-3").asDouble(), -1.5e-3);
+    EXPECT_EQ(Json::parse("\"a \\\"quoted\\\" string\"").asString(),
+              "a \"quoted\" string");
+    EXPECT_NO_THROW(Json::parse(
+        "{\"a\": [1, 2.5, true, false, null], \"b\": {\"c\": \"d\"}}"));
 }
 
 TEST(Json, U64RoundTripsExactly)
@@ -69,8 +76,9 @@ TEST(Json, StrictIntegerReadsRejectFloats)
 TEST(Json, MalformedInputThrows)
 {
     for (const char *bad :
-         {"", "{", "[1,]", "{\"a\":}", "{\"a\":1,}", "nul",
-          "\"unterminated", "{\"a\":1}trailing",
+         {"", "{", "[1,]", "[1, 2,]", "{\"a\":}", "{\"a\": }",
+          "{\"a\":1,}", "{'a': 1}", "nul", "NaN", "01", "-01",
+          "\"unterminated", "{\"a\":1}trailing", "{} trailing",
           "\"bad\\q\"", "{\"a\":1 \"b\":2}", "[1 2]"})
         EXPECT_THROW(Json::parse(bad), ProtocolError)
             << "accepted: " << bad;

@@ -16,10 +16,10 @@
  *
  * The bandwidth is a pure function of simulated time, so serial and
  * parallel must agree bit for bit; the bench checks that inline and
- * exports determinismOk so scripts/parallel_trajectory.py can gate
- * on it anywhere. Speedups, by contrast, are a property of the host
+ * exports determinismOk so scripts/bench_gate.py can gate on it
+ * anywhere. Speedups, by contrast, are a property of the host
  * — a single-core runner cannot show one — so the bench records
- * hostCores and the gate script only enforces speedup floors when
+ * hostCores and the gate only enforces speedup floors when
  * the host has at least as many cores as shards.
  *
  * Use --stats-json=FILE for the machine-readable capture and

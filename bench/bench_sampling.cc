@@ -17,7 +17,7 @@
  *             estimate contains the true detailed runtime
  *
  * The aggregate minSpeedup / maxRelError / allCovered values are
- * what scripts/sampling_trajectory.py distills and CI gates on
+ * what scripts/bench_gate.py distills and CI gates on
  * (speedup floor, error ceiling).
  */
 
@@ -236,7 +236,7 @@ main(int argc, char **argv)
                 minSpeedup, 100 * maxRelError, covered,
                 outcomes.size());
 
-    // The stats tree the trajectory script distills: one subtree
+    // The stats tree scripts/bench_gate.py distills: one subtree
     // per profile plus the aggregate gate values.
     stats::StatGroup root("samplingBench");
     std::vector<std::unique_ptr<OutcomeStats>> perProfile;

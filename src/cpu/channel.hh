@@ -60,7 +60,9 @@ struct ChannelParams
     centaur::CentaurModel::Config centaurConfig =
         centaur::CentaurModel::optimized();
     fpga::ContuttoCard::Params cardParams{};
-    std::vector<DimmSpec> dimms{DimmSpec{}, DimmSpec{}};
+    /** Two default DIMMs, value-initialized in place (a braced
+     *  list of temporaries trips GCC 12's -Wmaybe-uninitialized). */
+    std::vector<DimmSpec> dimms = std::vector<DimmSpec>(2);
     /** Lane unit interval; 0 = pick by buffer kind (125 ps for
      *  ConTutto, 104 ps ~ 9.6 Gb/s for Centaur). */
     Tick lanePeriod = 0;

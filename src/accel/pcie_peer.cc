@@ -44,15 +44,7 @@ PciePeerLink::runOn(unsigned shard, std::function<void()> fn)
         fn();
         return;
     }
-    const unsigned here = exec_->currentShard();
-    if (here == shard) {
-        fn();
-        return;
-    }
-    const Tick now = here == sim::ShardedExecutor::invalidShard
-        ? exec_->queue(shard).curTick()
-        : exec_->queue(here).curTick();
-    exec_->post(shard, now, std::move(fn));
+    exec_->runOn(shard, std::move(fn));
 }
 
 void
@@ -75,18 +67,14 @@ PciePeerLink::transfer(unsigned src_card, Addr src, Addr dst,
 
     // Doorbell + descriptor fetch, then the engine starts pulling.
     // The engine runs on the source card's shard when bound.
-    runOn(exec_ ? shardOf(src_card) : sim::ShardedExecutor::invalidShard,
-          [this] {
-              EventQueue &q = engineQueue();
-              OneShotEvent::schedule(q,
-                                     q.curTick()
-                                         + params_.setupLatency,
-                                     [this] {
-                                         linkFreeAt_ =
-                                             engineQueue().curTick();
-                                         pump();
-                                     });
-          });
+    runOn(shardOf(src_card), [this] {
+        EventQueue &q = engineQueue();
+        OneShotEvent::schedule(q, q.curTick() + params_.setupLatency,
+                               [this] {
+                                   linkFreeAt_ = engineQueue().curTick();
+                                   pump();
+                               });
+    });
 }
 
 void
@@ -143,22 +131,20 @@ PciePeerLink::lineArrived(std::uint64_t index,
     req->isWrite = true;
     req->data = data;
     req->onDone = [this](MemRequest &) {
-        runOn(exec_ ? shardOf(srcCard_)
-                    : sim::ShardedExecutor::invalidShard,
-              [this] {
-                  ct_assert(inFlight_ > 0);
-                  --inFlight_;
-                  ++writesDone_;
-                  stats_.bytesMoved += double(dmi::cacheLineSize);
-                  if (writesDone_ == totalLines_) {
-                      busy_ = false;
-                      ++stats_.transfers;
-                      if (done_)
-                          done_();
-                      return;
-                  }
-                  pump();
-              });
+        runOn(shardOf(srcCard_), [this] {
+            ct_assert(inFlight_ > 0);
+            --inFlight_;
+            ++writesDone_;
+            stats_.bytesMoved += double(dmi::cacheLineSize);
+            if (writesDone_ == totalLines_) {
+                busy_ = false;
+                ++stats_.transfers;
+                if (done_)
+                    done_();
+                return;
+            }
+            pump();
+        });
     };
     dst_port->submit(req);
 }

@@ -49,8 +49,9 @@ class PciePeerLink : public SimObject
      * state rides the *source* card's shard for each transfer; lines
      * cross the link — and completions return — as executor
      * messages, so they land at window boundaries, identically in
-     * serial and parallel modes. Unbound (the default), the link
-     * runs its original single-queue path, byte for byte.
+     * serial and parallel modes. Unbound (the default), both cards
+     * must share the link's one queue, and lines arrive at their
+     * exact tick rather than at a window edge.
      *
      * Call once, before the first transfer, while single-threaded.
      */
@@ -85,7 +86,8 @@ class PciePeerLink : public SimObject
     }
     /** The queue the current transfer's engine state lives on. */
     EventQueue &engineQueue();
-    /** Run @p fn on @p shard (inline when already there/unbound). */
+    /** Run @p fn on @p shard: inline when unbound, else via
+     *  sim::ShardedExecutor::runOn. */
     void runOn(unsigned shard, std::function<void()> fn);
     /** @} */
 

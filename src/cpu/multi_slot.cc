@@ -73,32 +73,37 @@ MultiSlotSystem::deriveWindow(const Params &params)
     return minFrame * 1024;
 }
 
-MultiSlotSystem::MultiSlotSystem(const Params &params)
-    : stats::StatGroup("socket"), params_(params),
-      eqStats_(this, eq_)
+namespace
 {
-    Validation v = validate(params);
+
+/** The executor for a socket; checks the plug rules first, because
+ *  deriveWindow() needs a populated slot. */
+sim::ShardedExecutor::Params
+executorParams(const MultiSlotSystem::Params &params)
+{
+    MultiSlotSystem::Validation v = MultiSlotSystem::validate(params);
     if (!v.ok)
         fatal("plug rules: %s", v.error.c_str());
+    sim::ShardedExecutor::Params ep;
+    ep.shards = params.shards;
+    ep.window = MultiSlotSystem::deriveWindow(params);
+    ep.mode = params.parallelExec
+        ? sim::ShardedExecutor::Mode::parallel
+        : sim::ShardedExecutor::Mode::serial;
+    return ep;
+}
 
-    if (params.shards >= 1) {
-        sim::ShardedExecutor::Params ep;
-        ep.shards = params.shards;
-        ep.window = params.shardWindow ? params.shardWindow
-                                       : deriveWindow(params);
-        ep.mode = params.parallelExec
-            ? sim::ShardedExecutor::Mode::parallel
-            : sim::ShardedExecutor::Mode::serial;
-        exec_ = std::make_unique<sim::ShardedExecutor>(ep);
-        parStats_.emplace(this, *exec_);
-        for (unsigned s = 0; s < params.shards; ++s) {
-            shardGroups_.push_back(
-                std::make_unique<stats::StatGroup>(
-                    "shard" + std::to_string(s), this));
-            shardEqStats_.push_back(
-                std::make_unique<EventCoreStats>(
-                    shardGroups_.back().get(), exec_->queue(s)));
-        }
+} // namespace
+
+MultiSlotSystem::MultiSlotSystem(const Params &params)
+    : stats::StatGroup("socket"), exec_(executorParams(params)),
+      parStats_(this, exec_)
+{
+    for (unsigned s = 0; s < params.shards; ++s) {
+        shardGroups_.push_back(std::make_unique<stats::StatGroup>(
+            "shard" + std::to_string(s), this));
+        shardEqStats_.push_back(std::make_unique<EventCoreStats>(
+            shardGroups_.back().get(), exec_.queue(s)));
     }
 
     slotToChannel_.fill(nullptr);
@@ -125,46 +130,31 @@ bool
 MultiSlotSystem::trainAll()
 {
     // The FSP trains channels in parallel on real machines; do the
-    // same here.
-    if (sharded()) {
-        // Per-channel result slots, written shard-locally; the idle
-        // predicate reads them at barriers, where the hand-off
-        // mutex orders the accesses.
-        std::vector<char> done(channels_.size(), 0);
-        std::vector<char> ok(channels_.size(), 0);
-        for (unsigned i = 0; i < channels_.size(); ++i)
-            channels_[i]->trainAsync(
-                [&done, &ok, i](const dmi::TrainingResult &r) {
-                    done[i] = 1;
-                    ok[i] = r.success ? 1 : 0;
-                });
-        bool finished = exec_->runUntilIdle(
-            [&done] {
-                for (char d : done)
-                    if (!d)
-                        return false;
-                return true;
-            },
-            milliseconds(200));
-        if (!finished)
+    // same here. Per-channel result slots, written shard-locally;
+    // the idle predicate reads them at barriers, where the hand-off
+    // mutex orders the accesses.
+    std::vector<char> done(channels_.size(), 0);
+    std::vector<char> ok(channels_.size(), 0);
+    for (unsigned i = 0; i < channels_.size(); ++i)
+        channels_[i]->trainAsync(
+            [&done, &ok, i](const dmi::TrainingResult &r) {
+                done[i] = 1;
+                ok[i] = r.success ? 1 : 0;
+            });
+    bool finished = exec_.runUntilIdle(
+        [&done] {
+            for (char d : done)
+                if (!d)
+                    return false;
+            return true;
+        },
+        milliseconds(200));
+    if (!finished)
+        return false;
+    for (char o : ok)
+        if (!o)
             return false;
-        for (char o : ok)
-            if (!o)
-                return false;
-        return true;
-    }
-
-    unsigned finished = 0;
-    bool all_ok = true;
-    for (auto &ch : channels_) {
-        ch->trainAsync([&](const dmi::TrainingResult &r) {
-            ++finished;
-            all_ok = all_ok && r.success;
-        });
-    }
-    while (finished < channels_.size() && eq_.step()) {
-    }
-    return all_ok && finished == channels_.size();
+    return true;
 }
 
 std::uint64_t
@@ -190,25 +180,6 @@ MultiSlotSystem::localAddr(Addr addr) const
         + addr % dmi::cacheLineSize;
 }
 
-void
-MultiSlotSystem::runOnChannel(unsigned ch, std::function<void()> fn)
-{
-    const unsigned owner = shardOfChannel(ch);
-    const unsigned here = exec_->currentShard();
-    if (here == owner) {
-        fn();
-        return;
-    }
-    // A foreign (or setup-time) caller: hop to the owner shard at
-    // the caller's current time. Inside run() this defers to the
-    // next window edge; outside it lands immediately — both paths
-    // identical across serial and parallel modes.
-    const Tick now = here == sim::ShardedExecutor::invalidShard
-        ? exec_->queue(owner).curTick()
-        : exec_->queue(here).curTick();
-    exec_->post(owner, now, std::move(fn));
-}
-
 HostMemPort::Callback
 MultiSlotSystem::routeCompletion(HostMemPort::Callback cb)
 {
@@ -222,20 +193,12 @@ MultiSlotSystem::routeCompletion(HostMemPort::Callback cb)
                 cb(r);
             pendingOps_.fetch_sub(1, std::memory_order_relaxed);
         };
-    const unsigned caller = exec_->currentShard();
+    const unsigned caller = exec_.currentShard();
     if (caller == sim::ShardedExecutor::invalidShard)
         return counted;
     return [this, caller,
             cb = std::move(counted)](const HostOpResult &r) {
-        const unsigned here = exec_->currentShard();
-        if (here == caller) {
-            cb(r);
-            return;
-        }
-        const Tick now = here == sim::ShardedExecutor::invalidShard
-            ? exec_->queue(caller).curTick()
-            : exec_->queue(here).curTick();
-        exec_->post(caller, now, [cb, r] { cb(r); });
+        exec_.runOn(caller, [cb, r] { cb(r); });
     };
 }
 
@@ -244,17 +207,11 @@ MultiSlotSystem::read(Addr addr, HostMemPort::Callback cb)
 {
     const unsigned ch = channelOf(addr);
     const Addr local = localAddr(addr);
-    if (!sharded()) {
-        channels_[ch]->port().read(local, std::move(cb));
-        return;
-    }
-    auto routed = routeCompletion(std::move(cb));
-    runOnChannel(ch,
-                 [this, ch, local,
-                  routed = std::move(routed)]() mutable {
-                     channels_[ch]->port().read(local,
-                                                std::move(routed));
-                 });
+    exec_.runOn(shardOfChannel(ch),
+                [this, ch, local,
+                 routed = routeCompletion(std::move(cb))]() mutable {
+                    channels_[ch]->port().read(local, std::move(routed));
+                });
 }
 
 void
@@ -263,17 +220,12 @@ MultiSlotSystem::write(Addr addr, const dmi::CacheLine &data,
 {
     const unsigned ch = channelOf(addr);
     const Addr local = localAddr(addr);
-    if (!sharded()) {
-        channels_[ch]->port().write(local, data, std::move(cb));
-        return;
-    }
-    auto routed = routeCompletion(std::move(cb));
-    runOnChannel(ch,
-                 [this, ch, local, data,
-                  routed = std::move(routed)]() mutable {
-                     channels_[ch]->port().write(local, data,
-                                                 std::move(routed));
-                 });
+    exec_.runOn(shardOfChannel(ch),
+                [this, ch, local, data,
+                 routed = routeCompletion(std::move(cb))]() mutable {
+                    channels_[ch]->port().write(local, data,
+                                                std::move(routed));
+                });
 }
 
 double
@@ -309,10 +261,7 @@ MultiSlotSystem::measureAggregateReadBandwidth(Tick window)
     for (unsigned ch = 0; ch < channels_.size(); ++ch)
         for (int k = 0; k < 40; ++k) // beyond the 32 tags
             issue(ch);
-    if (sharded())
-        exec_->run(end);
-    else
-        eq_.run(end);
+    exec_.run(end);
     runUntilIdle();
     std::uint64_t bytes = 0;
     for (const Stream &s : streams)
@@ -323,31 +272,16 @@ MultiSlotSystem::measureAggregateReadBandwidth(Tick window)
 bool
 MultiSlotSystem::runUntilIdle(Tick timeout)
 {
-    if (sharded()) {
-        return exec_->runUntilIdle(
-            [this] {
-                if (pendingOps_.load(std::memory_order_relaxed))
+    return exec_.runUntilIdle(
+        [this] {
+            if (pendingOps_.load(std::memory_order_relaxed))
+                return false;
+            for (const auto &ch : channels_)
+                if (!ch->quiescent())
                     return false;
-                for (const auto &ch : channels_)
-                    if (!ch->quiescent())
-                        return false;
-                return true;
-            },
-            timeout);
-    }
-    Tick deadline = eq_.curTick() + timeout;
-    for (;;) {
-        bool idle = true;
-        for (const auto &ch : channels_)
-            if (!ch->quiescent())
-                idle = false;
-        if (idle)
             return true;
-        if (eq_.curTick() >= deadline)
-            return false;
-        if (!eq_.step())
-            return true;
-    }
+        },
+        timeout);
 }
 
 sim::SamplingController &
@@ -370,11 +304,9 @@ MultiSlotSystem::enableSampling(const sim::SamplingConfig &cfg,
 Tick
 MultiSlotSystem::curTick() const
 {
-    if (!sharded())
-        return eq_.curTick();
     Tick t = 0;
-    for (unsigned s = 0; s < exec_->numShards(); ++s)
-        t = std::max(t, exec_->queue(s).curTick());
+    for (unsigned s = 0; s < exec_.numShards(); ++s)
+        t = std::max(t, exec_.queue(s).curTick());
     return t;
 }
 

@@ -119,6 +119,18 @@ ShardedExecutor::post(unsigned to, Tick when,
 }
 
 void
+ShardedExecutor::runOn(unsigned to, std::function<void()> fn)
+{
+    const unsigned here = currentShard();
+    if (here == to) {
+        fn();
+        return;
+    }
+    const Tick now = queue(here == invalidShard ? to : here).curTick();
+    post(to, now, std::move(fn));
+}
+
+void
 ShardedExecutor::runSlice(unsigned s, Tick windowEnd)
 {
     SliceScope scope(this, s);
@@ -244,24 +256,8 @@ bool
 ShardedExecutor::runUntilIdle(const std::function<bool()> &idle,
                               Tick timeout)
 {
-    ct_assert(idle != nullptr);
-    Tick start = 0;
-    for (const auto &shard : shards_)
-        start = std::max(start, shard->eq->curTick());
-    const Tick deadline =
-        start >= maxTick - timeout ? maxTick : start + timeout;
-    // "Idle" needs drained queues too: deferred work (a post() not
-    // yet executed) is invisible to model-state predicates.
-    if (idle() && nextWorkTick() == maxTick)
-        return true;
-    bool reached = false;
-    windowLoop(deadline, [&] {
-        reached = idle();
-        return reached;
-    });
-    // The queues may have drained with the model already idle (all
-    // remaining work was periodic and none was scheduled).
-    return reached || idle();
+    return runUntilIdle(idle, timeout, std::chrono::milliseconds(0))
+        == RunOutcome::idle;
 }
 
 ShardedExecutor::RunOutcome
@@ -281,6 +277,8 @@ ShardedExecutor::runUntilIdle(const std::function<bool()> &idle,
 
     if (cancelRequested())
         return RunOutcome::cancelled;
+    // "Idle" needs drained queues too: deferred work (a post() not
+    // yet executed) is invisible to model-state predicates.
     if (idle() && nextWorkTick() == maxTick)
         return RunOutcome::idle;
 
@@ -302,7 +300,9 @@ ShardedExecutor::runUntilIdle(const std::function<bool()> &idle,
         return false;
     });
     // windowLoop also breaks on its own cancel check (before the
-    // barrier callback sees it) and on drained queues.
+    // barrier callback sees it) and on drained queues, possibly with
+    // the model already idle (all remaining work was periodic and
+    // none was scheduled).
     if (out == RunOutcome::tickTimeout) {
         if (cancelRequested())
             out = RunOutcome::cancelled;

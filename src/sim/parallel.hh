@@ -169,6 +169,7 @@ class ShardedExecutor
 
     /** Shard @p s's private event queue. */
     EventQueue &queue(unsigned s) { return *shards_[s]->eq; }
+    const EventQueue &queue(unsigned s) const { return *shards_[s]->eq; }
 
     /**
      * The shard whose window the calling thread is currently
@@ -196,6 +197,16 @@ class ShardedExecutor
     void post(unsigned to, Tick when, std::function<void()> fn);
 
     /**
+     * Run @p fn on shard @p to: inline when the caller is already
+     * executing that shard, otherwise post() it at the caller's
+     * current tick (shard @p to's tick from setup/teardown). Inside
+     * run() a hop therefore lands at the next window edge; outside
+     * it lands immediately — identically in serial and parallel
+     * modes.
+     */
+    void runOn(unsigned to, std::function<void()> fn);
+
+    /**
      * Run every shard until all queues drain and no message is in
      * flight, or until simulated time would pass @p limit; returns
      * the maximum shard tick reached.
@@ -206,7 +217,9 @@ class ShardedExecutor
      * Windowed run until @p idle returns true at a barrier (checked
      * only when no message is pending, so the predicate sees a
      * consistent global state), or @p timeout simulated ticks pass.
-     * @return true when idle was reached.
+     * @return true when idle was reached — false on a tick timeout
+     * or a raised cancel flag (the three-argument form below with
+     * no wall limit).
      */
     bool runUntilIdle(const std::function<bool()> &idle,
                       Tick timeout);

@@ -174,7 +174,6 @@ TEST(ShardedSocket, TrainsAndServesInterleavedTraffic)
 {
     for (bool parallel : {false, true}) {
         MultiSlotSystem socket(shardedCdimm(4, 4, parallel));
-        ASSERT_TRUE(socket.sharded());
         ASSERT_TRUE(socket.trainAll()) << "parallel=" << parallel;
 
         // Ops issued from setup complete on each channel's own
@@ -238,17 +237,41 @@ TEST(ShardedSocket, SerialAndParallelBandwidthBitIdentical)
 {
     // The measured number is a pure function of simulated time, so
     // the serial fallback and the threaded run must agree exactly —
-    // double-equality, not tolerance.
+    // double-equality, not tolerance. The streams never leave their
+    // channel's shard, so the shard count cannot move it either.
     auto measure = [](bool parallel, unsigned shards) {
         MultiSlotSystem socket(shardedCdimm(4, shards, parallel));
         EXPECT_TRUE(socket.trainAll());
         return socket.measureAggregateReadBandwidth(microseconds(8));
     };
-    for (unsigned shards : {2u, 4u}) {
+    const double oneShard = measure(false, 1);
+    for (unsigned shards : {1u, 2u, 4u}) {
         double serial = measure(false, shards);
         double parallel = measure(true, shards);
         EXPECT_EQ(serial, parallel) << shards << " shards";
+        EXPECT_EQ(serial, oneShard) << shards << " shards";
         EXPECT_GT(serial, 20.0);
+    }
+}
+
+TEST(ShardedSocket, OneEventqGroupPerShard)
+{
+    // Each shard's queue exports its counters as socket.shardN.eventq;
+    // the socket itself has no eventq group of its own.
+    for (unsigned shards : {1u, 4u}) {
+        MultiSlotSystem socket(shardedCdimm(4, shards, false));
+        std::vector<std::string> eventqs;
+        for (const stats::StatGroup *child : socket.children()) {
+            EXPECT_NE(child->groupName(), "eventq")
+                << shards << " shards";
+            for (const stats::StatGroup *grand : child->children())
+                if (grand->groupName() == "eventq")
+                    eventqs.push_back(child->groupName());
+        }
+        std::vector<std::string> expected;
+        for (unsigned s = 0; s < shards; ++s)
+            expected.push_back("shard" + std::to_string(s));
+        EXPECT_EQ(eventqs, expected) << shards << " shards";
     }
 }
 

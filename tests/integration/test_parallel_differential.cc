@@ -214,8 +214,7 @@ runShardedSoak(std::uint64_t seed, unsigned shards, bool parallel)
 
     // Let every campaign window elapse so all faults have landed,
     // then drain reads to consume any still-armed frame faults.
-    if (socket.sharded())
-        socket.executor()->run(campaignEnd);
+    socket.executor()->run(campaignEnd);
     for (unsigned c = 0; c < nch; ++c)
         EXPECT_EQ(injectors[c]->history().size(),
                   socket.channel(c).card() ? 15u : 14u)

@@ -13,10 +13,10 @@ suitable for CI:
    byte-identical, executions never exceed the distinct key count,
    and the queue never grew past its cap.
 3. Exercise the live telemetry plane on the same (still faulty)
-   daemon: the health endpoint must reconcile with the stats
-   endpoint, the Prometheus exposition must lint clean, and a
-   streaming submit must deliver progress frames before its result
-   even while the fault plan is mangling the wire.
+   daemon: every stats counter must equal its health counter, the
+   Prometheus exposition must lint clean, and a streaming submit
+   must deliver progress frames before its result even while the
+   fault plan is mangling the wire.
 4. Start a second burst and SIGTERM the daemon mid-burst. Health
    must answer *during* the burst. The drain must be clean (exit
    0): in-flight and queued work answered, new work shed with
@@ -33,6 +33,7 @@ Exit status is non-zero on any violated contract.
 """
 
 import argparse
+import atexit
 import json
 import os
 import re
@@ -48,6 +49,23 @@ PROM_LINE = re.compile(
     r"^(# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+"
     r"|# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)"
     r'|[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="(\d+|\+Inf)"\})? -?\d+)$')
+
+# Every counter of the `stats` reply and its registry metric.
+STATS_COUNTERS = {
+    "submitted": "campaignd_submitted_total",
+    "accepted": "campaignd_accepted_total",
+    "completed": "campaignd_completed_total",
+    "failed": "campaignd_failed_total",
+    "timedOut": "campaignd_timeouts_total",
+    "cancelled": "campaignd_cancelled_total",
+    "shed": "campaignd_shed_total",
+    "duplicates": "campaignd_duplicates_total",
+    "memoHits": "campaignd_memo_hits_total",
+    "memoMisses": "campaignd_memo_misses_total",
+    "protocolErrors": "campaignd_protocol_errors_total",
+    "faultsInjected": "campaignd_faults_injected_total",
+    "executions": "campaignd_executions_total",
+}
 
 
 def log(msg):
@@ -76,6 +94,9 @@ class Daemon:
         print("+", " ".join(self.args), flush=True)
         self.proc = subprocess.Popen(
             self.args, stdout=subprocess.PIPE, text=True)
+        # A failed check exits without a drain; never leave the
+        # daemon running behind it. A reaped daemon is not signalled.
+        atexit.register(self.proc.kill)
 
     def sigterm_and_wait(self):
         self.proc.send_signal(signal.SIGTERM)
@@ -200,14 +221,11 @@ def main():
         f"{stats['faultsInjected']} faults injected")
 
     # --- Phase 3: live telemetry plane. ---------------------------
-    # Health counters must reconcile with the stats endpoint: both
-    # views are fed by the same requests, so any drift is a bug.
+    # Every stats counter must reconcile with its health counter:
+    # stats is read from the same registry, so any drift is a bug.
     health = get_health(socket)
     counters = health["metrics"]["counters"]
-    for metric, stat in (("campaignd_executions_total", "executions"),
-                         ("campaignd_memo_hits_total", "memoHits"),
-                         ("campaignd_duplicates_total", "duplicates"),
-                         ("campaignd_completed_total", "completed")):
+    for stat, metric in STATS_COUNTERS.items():
         if counters[metric] != stats[stat]:
             fail(f"{metric}={counters[metric]} disagrees with "
                  f"stats {stat}={stats[stat]}")

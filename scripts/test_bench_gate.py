@@ -152,13 +152,13 @@ class GateTest(unittest.TestCase):
         self.assertFails("parallel", hostCores=2,
                          shards2SpeedupVsSerial=0.99)
 
-    def test_parallel_shards1_vs_baseline_armed_on_one_core(self):
+    def test_parallel_shards1_speedup_is_not_gated(self):
+        # One shard starts no workers: both timed runs are the same
+        # single-thread code, so their ratio is wall-clock noise.
         want = baseline_value("parallel", "shards1SpeedupVsSerial")
         self.assertEqual(baseline_value("parallel", "hostCores"), 1)
-        self.assertFails("parallel", hostCores=1,
-                         shards1SpeedupVsSerial=want * 0.84)
         self.assertPasses("parallel", hostCores=1,
-                          shards1SpeedupVsSerial=want * 0.86)
+                          shards1SpeedupVsSerial=want * 0.5)
 
     def test_parallel_vs_baseline_waits_for_baseline_cores(self):
         out = os.path.join(self.tmp.name, "BENCH_parallel.json")

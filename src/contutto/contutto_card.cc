@@ -37,22 +37,4 @@ ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
                                  this, params.mbs, mbi_, bus_);
 }
 
-ResourceModel
-ContuttoCard::resources() const
-{
-    ResourceModel model;
-    model.addBaseDesign();
-    if (params_.withLatencyKnob)
-        model.addLatencyKnob();
-    if (params_.withInlineOps)
-        model.addInlineAccelEngines();
-    if (params_.withAccelerators > 0)
-        model.addAccessProcessor(params_.withAccelerators);
-    if (params_.withPcie)
-        model.addPcie();
-    if (params_.withTcam)
-        model.addTcam();
-    return model;
-}
-
 } // namespace contutto::fpga

@@ -14,8 +14,7 @@
  *               -> the plugged memory devices (DRAM/MRAM/NVDIMM).
  *
  * Consecutive cache lines interleave across the DIMM ports. The
- * resource model accounts the blocks present in the configuration
- * (Table 1).
+ * FPGA resource accounting (Table 1) lives in contutto/resources.hh.
  */
 
 #ifndef CONTUTTO_CONTUTTO_CONTUTTO_CARD_HH
@@ -26,7 +25,6 @@
 
 #include "bus/avalon.hh"
 #include "contutto/mbs.hh"
-#include "contutto/resources.hh"
 #include "dmi/channel.hh"
 #include "dmi/link.hh"
 #include "mem/ddr3_controller.hh"
@@ -98,12 +96,6 @@ class ContuttoCard : public SimObject
             /*bankInterleaveShift=*/7,
             /*queueCapacity=*/64,
         };
-        /** Account optional blocks in the resource model. */
-        bool withLatencyKnob = true;
-        bool withInlineOps = true;
-        unsigned withAccelerators = 0; ///< Access processor count.
-        bool withPcie = false;
-        bool withTcam = false;
     };
 
     /**
@@ -147,9 +139,6 @@ class ContuttoCard : public SimObject
 
     /** Total memory behind the card. */
     std::uint64_t capacity() const { return capacity_; }
-
-    /** Static FPGA resource accounting for this configuration. */
-    ResourceModel resources() const;
 
     /** True when the card has no command or response in flight. */
     bool

@@ -278,13 +278,6 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
       case CmdType::minStore:
       case CmdType::maxStore:
       case CmdType::condSwap:
-        if (!params_.inlineOpsEnabled) {
-            warn("MBS: in-line ops disabled; completing tag %u as "
-                 "no-op", cmd.tag);
-            respondDone(cmd.tag);
-            finishEngine(cmd.tag);
-            break;
-        }
         ++stats_.inlineOps;
         e.phase = Phase::readIssued;
         issueRead(cmd.tag, decoder);

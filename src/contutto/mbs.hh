@@ -60,8 +60,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         unsigned upstreamFramesPerCycle = 2;
         /** Done tags that may share one upstream frame. */
         unsigned doneTagsPerFrame = 2;
-        /** Enable the in-line accelerated ops (§4.3). */
-        bool inlineOpsEnabled = true;
         /**
          * Per-command watchdog: if a memory access has not completed
          * this long after issue the engine re-issues it (with

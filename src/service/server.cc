@@ -258,7 +258,7 @@ CampaignServer::samplerLoop()
         {
             std::lock_guard<std::mutex> g(mtx_);
             depth = queue_.size();
-            running = stats_.running;
+            running = running_;
         }
         // The gauges are also maintained at every mutation site;
         // the sampler's job is the *trajectory*: histograms of
@@ -348,10 +348,6 @@ CampaignServer::handleLine(int fd, const std::string &line)
             return handleSubmit(fd, doc);
         throw ProtocolError("unknown request type '" + type + "'");
     } catch (const ProtocolError &e) {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.protocolErrors;
-        }
         mProtocolErrors_->inc();
         return respond(fd, makeError(e.what()), false);
     }
@@ -447,13 +443,11 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
     std::shared_ptr<Job> job;
     {
         std::unique_lock<std::mutex> lk(mtx_);
-        ++stats_.submitted;
         mSubmitted_->inc();
 
         // Idempotency: one execution per id, ever.
         auto inFlight = active_.find(req.id);
         if (inFlight != active_.end()) {
-            ++stats_.duplicates;
             mDuplicates_->inc();
             job = inFlight->second;
             if (!waitForJob(lk, fd, req, job, req.stream,
@@ -465,7 +459,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         }
         auto replay = done_.find(req.id);
         if (replay != done_.end()) {
-            ++stats_.duplicates;
             mDuplicates_->inc();
             // Refresh the replay window.
             doneLru_.splice(doneLru_.end(), doneLru_,
@@ -483,13 +476,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
     std::string hit =
         memo_.lookup(campaign->configHash(), req.seed);
     if (!hit.empty()) {
-        {
-            // Scoped: respond() may take mtx_ to count an
-            // injected fault, so it must run unlocked.
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.memoHits;
-            ++stats_.completed;
-        }
         mMemoHits_->inc();
         mCompleted_->inc();
         // A memo hit never queued and never executed: its trace
@@ -506,7 +492,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
 
     {
         std::unique_lock<std::mutex> lk(mtx_);
-        ++stats_.memoMisses;
         mMemoMisses_->inc();
 
         // Single-flight per key: a fresh id whose (config hash,
@@ -525,8 +510,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
                             progressSeq))
                 return false;
             if (lead->status == "ok") {
-                ++stats_.memoHits;
-                ++stats_.completed;
                 mCoalesced_->inc();
                 mMemoHits_->inc();
                 mCompleted_->inc();
@@ -546,7 +529,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         // Admission control: draining and overload both shed with
         // an explicit hint instead of queueing without bound.
         if (draining_) {
-            ++stats_.shed;
             mShed_->inc();
             std::uint64_t after = params_.shedRetryAfterMs * 4;
             lk.unlock();
@@ -554,12 +536,11 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
                 fd, makeShed(req.id, after, "draining"), false);
         }
         if (queue_.size() >= params_.queueCap) {
-            ++stats_.shed;
             mShed_->inc();
             // Deeper backlog, longer hint: crude but monotonic.
             std::uint64_t after =
                 params_.shedRetryAfterMs
-                + params_.shedRetryAfterMs * stats_.running;
+                + params_.shedRetryAfterMs * running_;
             lk.unlock();
             return respond(
                 fd, makeShed(req.id, after, "queue full"), false);
@@ -576,13 +557,10 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         keyActive_[key] = job;
         queue_.emplace(std::make_pair(-req.priority, job->seq),
                        job);
-        ++stats_.accepted;
         mAccepted_->inc();
         gInFlight_->add(1);
-        stats_.queueDepth = queue_.size();
         gQueueDepth_->set(std::int64_t(queue_.size()));
-        stats_.queuePeak =
-            std::max(stats_.queuePeak, queue_.size());
+        queuePeak_ = std::max(queuePeak_, queue_.size());
         workAvail_.notify_one();
 
         if (!waitForJob(lk, fd, req, job, req.stream, progressSeq))
@@ -625,7 +603,7 @@ CampaignServer::waitForJob(std::unique_lock<std::mutex> &lk, int fd,
                 std::chrono::steady_clock::now() - t0)
                 .count());
         s.queueDepth = queue_.size();
-        s.running = stats_.running;
+        s.running = running_;
         s.workDone =
             watch->progress.workDone.load(std::memory_order_relaxed);
         s.workTotal = watch->progress.workTotal.load(
@@ -666,27 +644,20 @@ CampaignServer::respondProgress(int fd, const Json &frame)
     auto fires = [n](unsigned every) {
         return every != 0 && n % every == 0;
     };
-    auto countFault = [this] {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.faultsInjected;
-        }
-        mFaults_->inc();
-    };
     // Progress is best-effort telemetry: an injected fault mangles
     // THIS frame (the client sees a seq gap or a torn line) but
     // never closes the stream — only the result frame owns the
     // connection's fate.
     if (fires(f.dropEveryN)) {
-        countFault();
+        mFaults_->inc();
         return true;
     }
     if (fires(f.truncateEveryN)) {
-        countFault();
+        mFaults_->inc();
         return writeAll(fd, line.data(), line.size() / 2);
     }
     if (fires(f.delayEveryN)) {
-        countFault();
+        mFaults_->inc();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(f.delayMs));
     }
@@ -712,11 +683,10 @@ CampaignServer::workerLoop(unsigned index)
             }
             job = queue_.begin()->second;
             queue_.erase(queue_.begin());
-            stats_.queueDepth = queue_.size();
             gQueueDepth_->set(std::int64_t(queue_.size()));
             job->state = Job::State::running;
-            ++stats_.running;
-            gRunning_->set(std::int64_t(stats_.running));
+            ++running_;
+            gRunning_->set(std::int64_t(running_));
             liveJobs_[index] = job;
             // Dispatch closes the queue stage of the trace: the
             // admission-to-here wait is the exact queueUs the
@@ -751,22 +721,17 @@ CampaignServer::workerLoop(unsigned index)
                                                - job->admitted)
                     .count()));
             job->state = Job::State::done;
-            --stats_.running;
-            gRunning_->set(std::int64_t(stats_.running));
+            --running_;
+            gRunning_->set(std::int64_t(running_));
             liveJobs_[index] = nullptr;
-            ++stats_.completed;
             mCompleted_->inc();
             gInFlight_->sub(1);
-            if (job->status == "error") {
-                ++stats_.failed;
+            if (job->status == "error")
                 mFailed_->inc();
-            } else if (job->status == "timeout") {
-                ++stats_.timedOut;
+            else if (job->status == "timeout")
                 mTimedOut_->inc();
-            } else if (job->status == "cancelled") {
-                ++stats_.cancelled;
+            else if (job->status == "cancelled")
                 mCancelled_->inc();
-            }
             active_.erase(job->req.id);
             auto ka = keyActive_.find(std::make_pair(
                 job->campaign->configHash(), job->req.seed));
@@ -814,8 +779,6 @@ CampaignServer::runJob(const std::shared_ptr<Job> &job,
                                    job->req.seed);
     if (!hit.empty()) {
         mMemoHits_->inc();
-        std::lock_guard<std::mutex> lk(mtx_);
-        ++stats_.memoHits;
         job->status = "ok";
         job->outcome = "memo";
         job->payload = hit;
@@ -846,14 +809,11 @@ CampaignServer::runJob(const std::shared_ptr<Job> &job,
     CampaignSupervisor sup(sp);
     {
         std::lock_guard<std::mutex> lk(mtx_);
-        ++stats_.executions;
         mExecutions_->inc();
         if (job->campaign->sampled())
             mSampledJobs_->inc();
-        if (params_.faults.crashEveryN != 0 && injectCrash) {
-            ++stats_.faultsInjected;
+        if (injectCrash)
             mFaults_->inc();
-        }
         liveSupervisors_[worker] = &sup;
         if (stopping_.load(std::memory_order_relaxed))
             sup.cancelAll();
@@ -920,25 +880,18 @@ CampaignServer::respond(int fd, const Json &response,
             return every != 0 && n % every == 0;
         };
         if (fires(f.dropEveryN)) {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.faultsInjected;
+            mFaults_->inc();
             // Say nothing: the client's timeout + retry path (and
             // the server's idempotency) must cover this.
             return false;
         }
         if (fires(f.truncateEveryN)) {
-            {
-                std::lock_guard<std::mutex> lk(mtx_);
-                ++stats_.faultsInjected;
-            }
+            mFaults_->inc();
             writeAll(fd, line.data(), line.size() / 2);
             return false;
         }
         if (fires(f.delayEveryN)) {
-            {
-                std::lock_guard<std::mutex> lk(mtx_);
-                ++stats_.faultsInjected;
-            }
+            mFaults_->inc();
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(f.delayMs));
         }
@@ -980,8 +933,23 @@ CampaignServer::Stats
 CampaignServer::stats() const
 {
     std::lock_guard<std::mutex> lk(mtx_);
-    Stats s = stats_;
+    Stats s;
+    s.submitted = mSubmitted_->value();
+    s.accepted = mAccepted_->value();
+    s.completed = mCompleted_->value();
+    s.failed = mFailed_->value();
+    s.timedOut = mTimedOut_->value();
+    s.cancelled = mCancelled_->value();
+    s.shed = mShed_->value();
+    s.duplicates = mDuplicates_->value();
+    s.memoHits = mMemoHits_->value();
+    s.memoMisses = mMemoMisses_->value();
+    s.protocolErrors = mProtocolErrors_->value();
+    s.faultsInjected = mFaults_->value();
+    s.executions = mExecutions_->value();
     s.queueDepth = queue_.size();
+    s.queuePeak = queuePeak_;
+    s.running = running_;
     s.draining = draining_;
     return s;
 }
@@ -1033,7 +1001,7 @@ CampaignServer::stop()
     {
         std::unique_lock<std::mutex> lk(mtx_);
         clean = jobDone_.wait_for(lk, params_.drainTimeout, [&] {
-            return queue_.empty() && stats_.running == 0;
+            return queue_.empty() && running_ == 0;
         });
         if (!clean) {
             // Budget blown. Jobs that never started are answered
@@ -1048,8 +1016,6 @@ CampaignServer::stop()
                 job.status = "cancelled";
                 job.outcome = "cancelled";
                 job.error = "server shutting down";
-                ++stats_.completed;
-                ++stats_.cancelled;
                 mCompleted_->inc();
                 mCancelled_->inc();
                 gInFlight_->sub(1);
@@ -1061,7 +1027,6 @@ CampaignServer::stop()
                     keyActive_.erase(ka);
             }
             queue_.clear();
-            stats_.queueDepth = 0;
             gQueueDepth_->set(0);
             for (unsigned i = 0; i < params_.workers; ++i) {
                 if (liveSupervisors_[i] == nullptr)
@@ -1074,7 +1039,7 @@ CampaignServer::stop()
             // Stragglers unwind within the cancel grace; their
             // waiters respond before we tear the threads down.
             jobDone_.wait_for(lk, params_.drainTimeout, [&] {
-                return stats_.running == 0;
+                return running_ == 0;
             });
         }
     }

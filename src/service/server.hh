@@ -44,19 +44,20 @@
  *    itself and assert the exactly-once contract end to end.
  *
  *  - *Live telemetry.* Every admission decision, queue wait, memo
- *    probe, execution and response is mirrored into a lock-cheap
- *    MetricsRegistry (sim/metrics.hh) that a `health` request can
- *    snapshot at any moment — JSON or Prometheus text — without
- *    perturbing the workload. A submit carrying `stream:true`
- *    additionally receives rate-limited, seq-numbered `progress`
- *    frames on its own connection while it waits (queued and
- *    running states, work counts, supervisor heartbeats), always
- *    strictly before its terminal `result` frame. Each request
- *    carries a trace id; the server opens svc.queue / svc.exec /
- *    svc.serialize spans against it (sim/span.hh), reports the
- *    exact same microsecond attribution in the result frame, and
- *    a periodic sampler thread records queue-depth and in-flight
- *    trajectories between requests.
+ *    probe, execution and response is counted once, in a
+ *    lock-cheap MetricsRegistry (sim/metrics.hh) that stats()
+ *    reads and a `health` request can snapshot at any moment —
+ *    JSON or Prometheus text — without perturbing the workload.
+ *    A submit carrying `stream:true` additionally receives
+ *    rate-limited, seq-numbered `progress` frames on its own
+ *    connection while it waits (queued and running states, work
+ *    counts, supervisor heartbeats), always strictly before its
+ *    terminal `result` frame. Each request carries a trace id; the
+ *    server opens svc.queue / svc.exec / svc.serialize spans
+ *    against it (sim/span.hh), reports the exact same microsecond
+ *    attribution in the result frame, and a periodic sampler
+ *    thread records queue-depth and in-flight trajectories
+ *    between requests.
  */
 
 #ifndef CONTUTTO_SERVICE_SERVER_HH
@@ -137,7 +138,13 @@ class CampaignServer
         FaultPlan faults;
     };
 
-    /** Monotonic counters; snapshot under one lock. */
+    /**
+     * Point-in-time view for callers. The counters are read from
+     * the metrics registry, the only count of each event (the
+     * `health` reply exposes the same values under their
+     * campaignd_*_total names); the levels are read from the queue
+     * and the server state under the server lock.
+     */
     struct Stats
     {
         std::uint64_t submitted = 0;
@@ -266,7 +273,9 @@ class CampaignServer
     std::vector<sim::CampaignSupervisor *> liveSupervisors_;
     /** Per-worker job in execution, for drain straggler logging. */
     std::vector<std::shared_ptr<Job>> liveJobs_;
-    Stats stats_;
+    /** Jobs in execution and the deepest queue seen (mtx_). */
+    std::size_t running_ = 0;
+    std::size_t queuePeak_ = 0;
     std::uint64_t seq_ = 0;
     bool draining_ = false;
     /** Set only by stop(), after the queue has drained. */

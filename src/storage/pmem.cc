@@ -187,8 +187,7 @@ PmemBlockDevice::issueLines(const BlockRequest &req)
                 return;
             if (offline_)
                 currentFailed_ = true;
-            if (!current_.isWrite || !params_.flushOnWrite
-                || currentFailed_) {
+            if (!current_.isWrite || currentFailed_) {
                 finishCurrent();
                 return;
             }

@@ -62,8 +62,6 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
          *  side also pays the copy into the user buffer). */
         Tick driverReadCost = nanoseconds(2300);
         Tick driverWriteCost = nanoseconds(900);
-        /** Issue a flush command after each write burst. */
-        bool flushOnWrite = true;
 
         /** Preset for STT-MRAM DIMMs behind ConTutto. */
         static Params forMram() { return Params{}; }

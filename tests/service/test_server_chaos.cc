@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/client.hh"
@@ -126,6 +127,61 @@ TEST(CampaignServerChaos, FaultyWireStillAnswersExactlyOnce)
     // the wire forced a resubmit.
     EXPECT_EQ(s.executions, kDistinct);
     EXPECT_GE(s.duplicates + s.memoHits, kTotal - kDistinct);
+    EXPECT_TRUE(server.stop());
+}
+
+TEST(CampaignServerChaos, StatsCountersAreTheRegistryCounters)
+{
+    // Every stats() counter must equal its registry counter. The
+    // burst turns on all three response faults, which are counted
+    // on the connection threads rather than by the workers.
+    CampaignServer::Params p;
+    p.socketPath = ::testing::TempDir() + "chaos_reconcile.sock";
+    p.workers = 2;
+    p.watchdogInterval = std::chrono::milliseconds(2);
+    p.faults.dropEveryN = 3;
+    p.faults.truncateEveryN = 4;
+    p.faults.delayEveryN = 5;
+    p.faults.delayMs = 5;
+    CampaignServer server(p);
+    server.start();
+
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 3; ++t)
+        threads.emplace_back([&, t] {
+            CampaignClient client(
+                chaosClient(p.socketPath, 400 + t));
+            for (unsigned i = t; i < 9; i += 3) {
+                auto r = client.submit(spinRequest(
+                    "reconcile-" + std::to_string(i % 6), 5,
+                    i % 6 + 1));
+                EXPECT_EQ(r.outcome, CampaignClient::Outcome::ok)
+                    << r.error;
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+
+    const auto s = server.stats();
+    const auto snap = server.metricsSnapshot();
+    const std::pair<const char *, std::uint64_t> pairs[] = {
+        {"campaignd_submitted_total", s.submitted},
+        {"campaignd_accepted_total", s.accepted},
+        {"campaignd_completed_total", s.completed},
+        {"campaignd_failed_total", s.failed},
+        {"campaignd_timeouts_total", s.timedOut},
+        {"campaignd_cancelled_total", s.cancelled},
+        {"campaignd_shed_total", s.shed},
+        {"campaignd_duplicates_total", s.duplicates},
+        {"campaignd_memo_hits_total", s.memoHits},
+        {"campaignd_memo_misses_total", s.memoMisses},
+        {"campaignd_protocol_errors_total", s.protocolErrors},
+        {"campaignd_faults_injected_total", s.faultsInjected},
+        {"campaignd_executions_total", s.executions},
+    };
+    for (const auto &[metric, stat] : pairs)
+        EXPECT_EQ(snap.counterValue(metric, ~0ull), stat) << metric;
+    EXPECT_GT(s.faultsInjected, 0u);
     EXPECT_TRUE(server.stop());
 }
 

@@ -1,7 +1,5 @@
 #include "centaur/centaur.hh"
 
-#include <algorithm>
-
 #include "sim/span.hh"
 
 namespace contutto::centaur
@@ -80,7 +78,7 @@ CentaurModel::CentaurModel(const std::string &name, EventQueue &eq,
     : SimObject(name, eq, domain, parent), config_(config),
       link_(link), ports_(std::move(ports)),
       interleave_{unsigned(ports_.size()), cacheLineSize},
-      cache_(config.cacheCapacity, cacheLineSize, config.cacheWays),
+      cache_(cacheCapacity, cacheLineSize, cacheWays),
       stats_{{this, "reads", "read commands served"},
              {this, "writes", "write commands served"},
              {this, "rmws", "read-modify-write commands served"},
@@ -90,13 +88,17 @@ CentaurModel::CentaurModel(const std::string &name, EventQueue &eq,
              {this, "prefetches", "prefetch fills issued"},
              {this, "unsupportedCommands",
               "commands the ASIC has no engine for"},
-             {this, "cmdTimeouts", "command watchdog expirations"},
-             {this, "cmdRetries", "DDR accesses re-issued"},
-             {this, "tagsReclaimed", "stuck tags forcibly freed"},
-             {this, "droppedCompletions",
-              "DDR completions lost to injected stalls"},
+             {this, "DDR"},
              {this, "poisonedReads",
-              "reads returned poisoned (uncorrectable ECC)"}}
+              "reads returned poisoned (uncorrectable ECC)"}},
+      cmdWatchdog_(
+          *this, errorLog_, stats_.watchdog,
+          mem::CmdWatchdog::defaultTimeout,
+          [this](unsigned tag) { issueAccess(std::uint8_t(tag)); },
+          [this](unsigned tag) { answerReclaimed(std::uint8_t(tag)); }),
+      flushFence_([this](unsigned tag) {
+          sendDone(std::uint8_t(tag), cmds_[tag].traceId);
+      })
 {
     ct_assert(!ports_.empty());
     link_.onFrame = [this](const DownFrame &f) { frameArrived(f); };
@@ -167,81 +169,32 @@ CentaurModel::execute(const MemCommand &cmd, bool redispatch)
     }
 }
 
-bool
-CentaurModel::consumeStall()
-{
-    if (stallBudget_ == 0)
-        return false;
-    --stallBudget_;
-    ++stats_.droppedCompletions;
-    return true;
-}
-
-std::uint32_t
-CentaurModel::armTagOp(std::uint8_t tag)
-{
-    TagOp &op = tagOps_[tag];
-    op.seq = ++seqCounter_;
-    if (config_.cmdTimeout != 0) {
-        std::uint32_t seq = op.seq;
-        Tick wait = config_.cmdTimeout << op.retries;
-        OneShotEvent::schedule(eventq(), curTick() + wait,
-                               [this, tag, seq] {
-                                   tagTimeout(tag, seq);
-                               });
-    }
-    return op.seq;
-}
-
 void
-CentaurModel::tagTimeout(std::uint8_t tag, std::uint32_t seq)
+CentaurModel::answerReclaimed(std::uint8_t tag)
 {
-    TagOp &op = tagOps_[tag];
-    if (!op.active || op.seq != seq)
-        return; // the access completed; watchdog is stale
-    ++stats_.cmdTimeouts;
-    if (op.retries >= config_.maxCmdRetries) {
-        reclaimTag(tag);
+    if (cmds_[tag].type != CmdType::read128) {
+        writeDone(tag);
         return;
     }
-    ++op.retries;
-    ++stats_.cmdRetries;
-    if (op.cmd.type == CmdType::read128)
-        issueReadAccess(tag);
-    else
-        issueWriteAccess(tag);
+    // The host is owed data; poison it rather than hang the tag.
+    ++stats_.poisonedReads;
+    MemResponse resp;
+    resp.type = RespType::readData;
+    resp.tag = tag;
+    resp.poisoned = true;
+    resp.traceId = cmds_[tag].traceId;
+    for (auto &f : encodeResponse(resp))
+        link_.sendFrame(f);
+    sendDone(tag, resp.traceId);
 }
 
 void
-CentaurModel::reclaimTag(std::uint8_t tag)
+CentaurModel::writeDone(std::uint8_t tag)
 {
-    TagOp &op = tagOps_[tag];
-    ++stats_.tagsReclaimed;
-    warn("Centaur: reclaiming tag %u after %u retries", unsigned(tag),
-         op.retries);
-    if (errorLog_)
-        errorLog_->record(curTick(), name(),
-                          firmware::Severity::unrecoverable,
-                          "command tag " + std::to_string(tag)
-                              + " reclaimed after retry exhaustion");
-    MemCommand cmd = op.cmd;
-    op = TagOp{};
-    if (cmd.type == CmdType::read128) {
-        // The host is owed data; poison it rather than hang the tag.
-        ++stats_.poisonedReads;
-        MemResponse resp;
-        resp.type = RespType::readData;
-        resp.tag = tag;
-        resp.poisoned = true;
-        resp.traceId = cmd.traceId;
-        for (auto &f : encodeResponse(resp))
-            link_.sendFrame(f);
-        sendDone(tag, cmd.traceId);
-    } else {
-        sendDone(tag, cmd.traceId);
-        releaseWrite(cmd.addr);
-        noteWriteDrained(tag);
-    }
+    Addr line = cmds_[tag].addr;
+    sendDone(tag, cmds_[tag].traceId);
+    releaseWrite(line);
+    flushFence_.drained(tag);
 }
 
 void
@@ -279,54 +232,64 @@ CentaurModel::serveRead(const MemCommand &cmd)
     if (config_.cacheEnabled)
         ++stats_.cacheMisses;
 
-    TagOp &op = tagOps_[cmd.tag];
-    op.active = true;
-    op.retries = 0;
-    op.cmd = cmd;
-    issueReadAccess(cmd.tag);
+    cmds_[cmd.tag] = cmd;
+    issueAccess(cmd.tag);
 }
 
 void
-CentaurModel::issueReadAccess(std::uint8_t tag)
+CentaurModel::issueAccess(std::uint8_t tag)
 {
-    std::uint32_t seq = armTagOp(tag);
-    MemCommand c = tagOps_[tag].cmd;
+    std::uint32_t seq = cmdWatchdog_.arm(tag);
+    const MemCommand &c = cmds_[tag];
     auto req = std::make_shared<MemRequest>();
     req->addr = localAddr(c.addr);
-    req->isWrite = false;
+    req->isWrite = c.type != CmdType::read128;
+    if (req->isWrite)
+        req->data = c.data;
     req->traceId = c.traceId;
-    req->onDone = [this, c, tag, seq](MemRequest &r) {
-        TagOp &op = tagOps_[tag];
-        if (!op.active || op.seq != seq)
-            return; // superseded by a retry or reclaim
-        if (consumeStall())
+    if (c.type == CmdType::partialWrite) {
+        req->masked = true;
+        req->enables = c.enables;
+    }
+    req->onDone = [this, tag, seq](MemRequest &r) {
+        // A superseded or lost completion is the watchdog's.
+        if (!cmdWatchdog_.complete(tag, seq))
             return;
-        op = TagOp{};
-        if (config_.cacheEnabled) {
-            // Write-through cache: fills are never dirty.
-            cache_.fill(c.addr);
-            if (config_.prefetchEnabled) {
-                // The line after the last one of the channel has
-                // nothing to prefetch.
-                Addr next = c.addr + cacheLineSize;
-                bool inRange = localAddr(next) + cacheLineSize
-                    <= portFor(next).device().capacity();
-                if (inRange && !cache_.probe(next)) {
-                    ++stats_.prefetches;
-                    auto pf = std::make_shared<MemRequest>();
-                    pf->addr = localAddr(next);
-                    pf->isWrite = false;
-                    pf->onDone = [this, next](MemRequest &) {
-                        cache_.fill(next);
-                    };
-                    if (portFor(next).canAccept())
-                        portFor(next).submit(pf);
-                }
-            }
-        }
-        finishRead(c, r.poisoned);
+        if (r.isWrite)
+            writeDone(tag);
+        else
+            readDone(tag, r.poisoned);
     };
     portFor(c.addr).submit(req);
+}
+
+void
+CentaurModel::readDone(std::uint8_t tag, bool poisoned)
+{
+    const MemCommand &c = cmds_[tag];
+    if (config_.cacheEnabled) {
+        // Write-through cache: fills are never dirty.
+        cache_.fill(c.addr);
+        if (config_.prefetchEnabled) {
+            // The line after the last one of the channel has nothing
+            // to prefetch.
+            Addr next = c.addr + cacheLineSize;
+            bool inRange = localAddr(next) + cacheLineSize
+                <= portFor(next).device().capacity();
+            if (inRange && !cache_.probe(next)) {
+                ++stats_.prefetches;
+                auto pf = std::make_shared<MemRequest>();
+                pf->addr = localAddr(next);
+                pf->isWrite = false;
+                pf->onDone = [this, next](MemRequest &) {
+                    cache_.fill(next);
+                };
+                if (portFor(next).canAccept())
+                    portFor(next).submit(pf);
+            }
+        }
+    }
+    finishRead(c, poisoned);
 }
 
 void
@@ -371,82 +334,26 @@ CentaurModel::serveWrite(const MemCommand &cmd)
             cache_.writeHit(cmd.addr);
     }
 
-    TagOp &op = tagOps_[cmd.tag];
-    op.active = true;
-    op.retries = 0;
-    op.cmd = cmd;
-    issueWriteAccess(cmd.tag);
-}
-
-void
-CentaurModel::issueWriteAccess(std::uint8_t tag)
-{
-    std::uint32_t seq = armTagOp(tag);
-    const MemCommand &c = tagOps_[tag].cmd;
-    auto req = std::make_shared<MemRequest>();
-    req->addr = localAddr(c.addr);
-    req->isWrite = true;
-    req->data = c.data;
-    req->traceId = c.traceId;
-    if (c.type == CmdType::partialWrite) {
-        req->masked = true;
-        req->enables = c.enables;
-    }
-    Addr line = c.addr;
-    TraceId tid = c.traceId;
-    req->onDone = [this, tag, line, seq, tid](MemRequest &) {
-        TagOp &op = tagOps_[tag];
-        if (!op.active || op.seq != seq)
-            return; // superseded by a retry or reclaim
-        if (consumeStall())
-            return;
-        op = TagOp{};
-        sendDone(tag, tid);
-        releaseWrite(line);
-        noteWriteDrained(tag);
-    };
-    portFor(c.addr).submit(req);
+    cmds_[cmd.tag] = cmd;
+    issueAccess(cmd.tag);
 }
 
 void
 CentaurModel::serveFlush(const MemCommand &cmd)
 {
     ++stats_.flushes;
-    FlushOp op;
-    op.tag = cmd.tag;
-    op.traceId = cmd.traceId;
+    cmds_[cmd.tag] = cmd;
     // Older writes: every write-class command with a live watchdog
     // plus the ones parked in the same-line ordering queue.
-    for (unsigned t = 0; t < numTags; ++t) {
-        const TagOp &other = tagOps_[t];
-        if (other.active && other.cmd.type != CmdType::read128)
-            op.waitingOn.push_back(std::uint8_t(t));
-    }
+    mem::FlushFence::TagMask older = 0;
+    for (unsigned t = 0; t < numTags; ++t)
+        if (cmdWatchdog_.outstanding(t)
+            && cmds_[t].type != CmdType::read128)
+            older |= 1u << t;
     for (const MemCommand &d : deferred_)
         if (d.type != CmdType::read128 && d.type != CmdType::flush)
-            op.waitingOn.push_back(d.tag);
-    if (op.waitingOn.empty())
-        sendDone(cmd.tag, cmd.traceId);
-    else
-        pendingFlushes_.push_back(std::move(op));
-}
-
-void
-CentaurModel::noteWriteDrained(std::uint8_t tag)
-{
-    for (auto it = pendingFlushes_.begin();
-         it != pendingFlushes_.end();) {
-        auto &waiting = it->waitingOn;
-        waiting.erase(std::remove(waiting.begin(), waiting.end(),
-                                  tag),
-                      waiting.end());
-        if (waiting.empty()) {
-            sendDone(it->tag, it->traceId);
-            it = pendingFlushes_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+            older |= 1u << d.tag;
+    flushFence_.add(cmd.tag, older);
 }
 
 void
@@ -476,6 +383,7 @@ CentaurModel::sendDone(std::uint8_t tag, TraceId traceId)
     resp.traceId = traceId;
     for (auto &f : encodeResponse(resp))
         link_.sendFrame(f);
+    cmdWatchdog_.release(tag);
     ct_assert(activeCommands_ > 0);
     --activeCommands_;
 }
@@ -483,32 +391,21 @@ CentaurModel::sendDone(std::uint8_t tag, TraceId traceId)
 void
 CentaurModel::checkpointSave(ckpt::Section &out) const
 {
-    if (!quiescent() || !deferred_.empty()
-        || !pendingFlushes_.empty() || !pendingWrites_.empty())
+    if (!quiescent() || !deferred_.empty() || !flushFence_.empty()
+        || !pendingWrites_.empty())
         panic("%s: checkpoint while not quiescent", name().c_str());
     cache_.checkpointSave(out);
-    out.putU32(seqCounter_);
-    out.putU32(stallBudget_);
-    out.putU32(std::uint32_t(tagOps_.size()));
-    for (const TagOp &op : tagOps_) {
-        ct_assert(!op.active);
-        out.putU32(op.seq);
-    }
+    cmdWatchdog_.checkpointSave(out);
 }
 
 void
 CentaurModel::checkpointRestore(ckpt::Section &in)
 {
-    if (!quiescent() || !deferred_.empty()
-        || !pendingFlushes_.empty() || !pendingWrites_.empty())
+    if (!quiescent() || !deferred_.empty() || !flushFence_.empty()
+        || !pendingWrites_.empty())
         panic("%s: restore while not quiescent", name().c_str());
     cache_.checkpointRestore(in);
-    seqCounter_ = in.getU32();
-    stallBudget_ = in.getU32();
-    if (in.getU32() != tagOps_.size())
-        throw ckpt::Error("Centaur tag count mismatch");
-    for (TagOp &op : tagOps_)
-        op.seq = in.getU32();
+    cmdWatchdog_.checkpointRestore(in);
 }
 
 } // namespace contutto::centaur

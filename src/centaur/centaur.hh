@@ -24,6 +24,7 @@
 #include "dmi/link.hh"
 #include "firmware/error_log.hh"
 #include "mem/cache_model.hh"
+#include "mem/cmd_watchdog.hh"
 #include "mem/ddr3_controller.hh"
 #include "mem/line_interleave.hh"
 
@@ -48,17 +49,11 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
          * (serialized handshakes, speculative access off, ...).
          */
         Tick extraLatency = 0;
-        std::uint64_t cacheCapacity = 16 * MiB;
-        unsigned cacheWays = 8;
-        /**
-         * Per-command watchdog for DDR accesses (0 disables): lost
-         * completions are re-issued with exponential backoff, then
-         * the tag is reclaimed so the host never hangs.
-         */
-        Tick cmdTimeout = microseconds(20);
-        /** Re-issues before a stuck tag is reclaimed. */
-        unsigned maxCmdRetries = 3;
     };
+
+    /** The 16 MB eDRAM buffer cache. */
+    static constexpr std::uint64_t cacheCapacity = 16 * MiB;
+    static constexpr unsigned cacheWays = 8;
 
     /** @{ The Table 2 knob settings (latency-calibrated presets). */
     static Config optimized();     ///< cfg 1: 79 ns class.
@@ -90,11 +85,9 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     /** Route RAS events (reclaimed tags, poison) to the FSP log. */
     void attachErrorLog(firmware::ErrorLog *log) { errorLog_ = log; }
 
-    /**
-     * Fault injection: swallow the next @p n DDR completions as if
-     * the controller lost them, exercising the tag watchdogs.
-     */
-    void dropNextCompletions(unsigned n) { stallBudget_ += n; }
+    /** The DDR accesses' watchdog: lost completions are re-issued,
+     *  then the tag is reclaimed so the host never hangs. */
+    mem::CmdWatchdog &cmdWatchdog() { return cmdWatchdog_; }
 
     struct CentaurStats
     {
@@ -106,56 +99,32 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
         stats::Scalar cacheMisses;
         stats::Scalar prefetches;
         stats::Scalar unsupportedCommands;
-        stats::Scalar cmdTimeouts;        ///< Watchdog expirations.
-        stats::Scalar cmdRetries;         ///< DDR accesses re-issued.
-        stats::Scalar tagsReclaimed;      ///< Tags freed by force.
-        stats::Scalar droppedCompletions; ///< Injected stalls consumed.
+        mem::CmdWatchdog::Stats watchdog;
         stats::Scalar poisonedReads;      ///< Reads returned poisoned.
     };
 
     const CentaurStats &centaurStats() const { return stats_; }
 
-    /** @{ ckpt::Checkpointable: the eDRAM cache tags, the issue
-     *  sequence counter, the stall budget and per-tag generation
-     *  guards. Only legal while quiescent with nothing deferred. */
+    /** @{ ckpt::Checkpointable: the eDRAM cache tags and the
+     *  watchdog's issue generations and stall budget. Only legal
+     *  while quiescent with nothing deferred. */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
     /** @} */
 
   private:
-    /** Watchdog state for one in-flight DDR access. */
-    struct TagOp
-    {
-        bool active = false;
-        std::uint32_t seq = 0; ///< Issue generation (staleness gate).
-        unsigned retries = 0;
-        dmi::MemCommand cmd;   ///< Retained for re-issue.
-    };
-
-    /** One flush waiting for older writes to drain to DDR. */
-    struct FlushOp
-    {
-        std::uint8_t tag = 0;
-        TraceId traceId = noTraceId;
-        /** Tags of the write-class commands it must outwait. */
-        std::vector<std::uint8_t> waitingOn;
-    };
-
     void frameArrived(const dmi::DownFrame &frame);
     void execute(const dmi::MemCommand &cmd, bool redispatch = false);
     void retryDeferred(Addr addr);
     void serveRead(const dmi::MemCommand &cmd);
     void serveWrite(const dmi::MemCommand &cmd);
     void serveFlush(const dmi::MemCommand &cmd);
-    void noteWriteDrained(std::uint8_t tag);
-    void issueReadAccess(std::uint8_t tag);
-    void issueWriteAccess(std::uint8_t tag);
+    void issueAccess(std::uint8_t tag);
+    void readDone(std::uint8_t tag, bool poisoned);
+    void writeDone(std::uint8_t tag);
     void finishRead(const dmi::MemCommand &cmd, bool poisoned);
     void sendDone(std::uint8_t tag, TraceId traceId);
-    std::uint32_t armTagOp(std::uint8_t tag);
-    void tagTimeout(std::uint8_t tag, std::uint32_t seq);
-    void reclaimTag(std::uint8_t tag);
-    bool consumeStall();
+    void answerReclaimed(std::uint8_t tag);
     void releaseWrite(Addr line);
     mem::Ddr3Controller &portFor(Addr addr);
     Addr localAddr(Addr addr) const
@@ -174,12 +143,12 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
      *  ordering (reads must not pass writes via the cache path). */
     std::unordered_map<Addr, unsigned> pendingWrites_;
     std::deque<dmi::MemCommand> deferred_;
-    std::vector<FlushOp> pendingFlushes_;
-    std::array<TagOp, dmi::numTags> tagOps_{};
-    std::uint32_t seqCounter_ = 0;
-    unsigned stallBudget_ = 0;
+    /** Each tag's command, for re-issue or to finish its flush. */
+    std::array<dmi::MemCommand, dmi::numTags> cmds_{};
     firmware::ErrorLog *errorLog_ = nullptr;
     CentaurStats stats_;
+    mem::CmdWatchdog cmdWatchdog_;
+    mem::FlushFence flushFence_;
 };
 
 } // namespace contutto::centaur

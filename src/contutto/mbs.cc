@@ -53,15 +53,23 @@ Mbs::Mbs(const std::string &name, EventQueue &eq,
              {this, "upstreamFrames", "frames sent upstream"},
              {this, "doneFramesPacked",
               "done frames carrying multiple tags"},
-             {this, "cmdTimeouts", "command watchdog expirations"},
-             {this, "cmdRetries", "memory accesses re-issued"},
-             {this, "tagsReclaimed", "stuck tags forcibly freed"},
-             {this, "droppedCompletions",
-              "memory completions lost to injected stalls"},
+             {this, "memory"},
              {this, "poisonedResponses",
               "read responses sent upstream poisoned"},
              {this, "engineOccupancy",
-              "active command engines at dispatch"}}
+              "active command engines at dispatch"}},
+      cmdWatchdog_(*this, errorLog_, stats_.watchdog, params.cmdTimeout,
+                   [this](unsigned tag) {
+                       if (engines_[tag].phase == Phase::readIssued)
+                           issueRead(tag, tag & 1);
+                       else
+                           issueWrite(tag, tag / (numTags / 2));
+                   },
+                   [this](unsigned tag) { answerReclaimed(tag); }),
+      flushFence_([this](unsigned tag) {
+          respondDone(tag);
+          finishEngine(tag);
+      })
 {
     ct_assert(params_.knobPosition <= 7);
     readPorts_[0] = &bus_.createPort(name + ".rd0");
@@ -91,7 +99,7 @@ bool
 Mbs::quiescent() const
 {
     return activeEngines_ == 0 && upQueue_.empty()
-        && pendingFlushes_.empty() && deferred_.empty();
+        && flushFence_.empty() && deferred_.empty();
 }
 
 void
@@ -101,8 +109,8 @@ Mbs::powerReset()
     for (Engine &e : engines_) {
         e.active = false;
         e.phase = Phase::idle;
-        e.retries = 0;
     }
+    cmdWatchdog_.abandonAll();
     activeEngines_ = 0;
     for (unsigned p = 0; p < 2; ++p) {
         writeReady_[p].clear();
@@ -112,7 +120,7 @@ Mbs::powerReset()
     upQueue_.clear();
     if (upPumpEvent_.scheduled())
         eventq().deschedule(&upPumpEvent_);
-    pendingFlushes_.clear();
+    flushFence_.clear();
     deferred_.clear();
 }
 
@@ -123,11 +131,7 @@ Mbs::checkpointSave(ckpt::Section &out) const
         panic("%s: checkpoint while not quiescent", name().c_str());
     out.putU32(params_.knobPosition);
     out.putU32(frameCounter_);
-    out.putU32(issueSeqCounter_);
-    out.putU32(stallBudget_);
-    out.putU32(std::uint32_t(engines_.size()));
-    for (const Engine &e : engines_)
-        out.putU32(e.issueSeq);
+    cmdWatchdog_.checkpointSave(out);
 }
 
 void
@@ -137,12 +141,7 @@ Mbs::checkpointRestore(ckpt::Section &in)
         panic("%s: restore while not quiescent", name().c_str());
     params_.knobPosition = in.getU32();
     frameCounter_ = in.getU32();
-    issueSeqCounter_ = in.getU32();
-    stallBudget_ = in.getU32();
-    if (in.getU32() != engines_.size())
-        throw ckpt::Error("MBS engine count mismatch");
-    for (Engine &e : engines_)
-        e.issueSeq = in.getU32();
+    cmdWatchdog_.checkpointRestore(in);
 }
 
 bool
@@ -196,7 +195,7 @@ Mbs::frameArrived(const DownFrame &frame)
     if (auto cmd = assembler_.feed(frame)) {
         MemCommand c = *cmd;
         OneShotEvent::schedule(
-            eventq(), clockEdge(params_.decodeCycles),
+            eventq(), clockEdge(decodeCycles),
             [this, c, decoder] { dispatch(c, decoder); });
     }
 }
@@ -252,27 +251,21 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
         break;
       case CmdType::flush: {
         ++stats_.flushes;
-        FlushOp op;
-        op.tag = cmd.tag;
+        mem::FlushFence::TagMask older = 0;
         for (unsigned t = 0; t < numTags; ++t) {
             const Engine &other = engines_[t];
             if (t != cmd.tag && other.active
                 && other.cmd.type != CmdType::read128
                 && other.cmd.type != CmdType::flush)
-                op.waitingOn.push_back(std::uint8_t(t));
+                older |= 1u << t;
         }
         // Writes held in the same-line ordering queue are older than
         // this flush and must drain too.
         for (const Deferred &d : deferred_)
             if (d.cmd.type != CmdType::read128
                 && d.cmd.type != CmdType::flush)
-                op.waitingOn.push_back(d.cmd.tag);
-        if (op.waitingOn.empty()) {
-            respondDone(cmd.tag);
-            finishEngine(cmd.tag);
-        } else {
-            pendingFlushes_.push_back(std::move(op));
-        }
+                older |= 1u << d.cmd.tag;
+        flushFence_.add(cmd.tag, older);
         break;
       }
       case CmdType::minStore:
@@ -285,92 +278,28 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
     }
 }
 
-bool
-Mbs::consumeStall()
-{
-    if (stallBudget_ == 0)
-        return false;
-    --stallBudget_;
-    ++stats_.droppedCompletions;
-    return true;
-}
-
 void
-Mbs::armCmdTimeout(unsigned tag)
+Mbs::answerReclaimed(unsigned tag)
 {
-    if (params_.cmdTimeout == 0)
-        return;
-    Engine &e = engines_[tag];
-    e.issueSeq = ++issueSeqCounter_;
-    std::uint32_t seq = e.issueSeq;
-    // Exponential backoff: each retry waits twice as long, giving a
-    // congested memory system room to drain before giving up.
-    Tick wait = params_.cmdTimeout << e.retries;
-    OneShotEvent::schedule(eventq(), curTick() + wait,
-                           [this, tag, seq] {
-                               engineTimeout(tag, seq);
-                           });
-}
-
-void
-Mbs::engineTimeout(unsigned tag, std::uint32_t seq)
-{
-    Engine &e = engines_[tag];
-    // Stale watchdog: the access completed (or the tag moved on).
-    if (!e.active || e.issueSeq != seq)
-        return;
-    if (e.phase != Phase::readIssued && e.phase != Phase::writeIssued)
-        return;
-
-    ++stats_.cmdTimeouts;
-    if (e.retries >= params_.maxCmdRetries) {
-        reclaimTag(tag);
-        return;
-    }
-    ++e.retries;
-    ++stats_.cmdRetries;
-    CT_TRACE("MBS", *this, "tag %u timed out in phase %d; retry %u",
-             tag, int(e.phase), e.retries);
-    if (e.phase == Phase::readIssued)
-        issueRead(tag, tag & 1);
-    else
-        issueWrite(tag, tag / (numTags / 2));
-}
-
-void
-Mbs::reclaimTag(unsigned tag)
-{
-    Engine &e = engines_[tag];
-    ++stats_.tagsReclaimed;
-    warn("MBS: reclaiming tag %u after %u retries", tag, e.retries);
-    if (errorLog_)
-        errorLog_->record(curTick(), name(),
-                          firmware::Severity::unrecoverable,
-                          "command tag " + std::to_string(tag)
-                              + " reclaimed after retry exhaustion");
-
     // The host is owed a response for the tag; a read gets poisoned
-    // data so it never consumes garbage, everything else gets a bare
-    // done. Write-class commands must also release any flush
-    // waiting on them.
-    bool write_class = e.cmd.type != CmdType::read128
-        && e.cmd.type != CmdType::flush;
-    if (e.cmd.type == CmdType::read128) {
+    // data so it never consumes garbage, a write-class command a bare
+    // done, and it must also release any flush waiting on it.
+    bool read = engines_[tag].cmd.type == CmdType::read128;
+    if (read) {
         ++stats_.poisonedResponses;
         respondReadData(tag, CacheLine{}, true);
     }
     respondDone(tag);
     finishEngine(tag);
-    if (write_class)
-        noteWriteDrained(std::uint8_t(tag));
+    if (!read)
+        flushFence_.drained(tag);
 }
 
 void
 Mbs::issueRead(unsigned tag, unsigned decoder)
 {
     Engine &e = engines_[tag];
-    armCmdTimeout(tag);
-    std::uint32_t seq = e.issueSeq;
+    std::uint32_t seq = cmdWatchdog_.arm(tag);
     auto req = std::make_shared<MemRequest>();
     req->addr = e.cmd.addr;
     req->isWrite = false;
@@ -379,13 +308,11 @@ Mbs::issueRead(unsigned tag, unsigned decoder)
         CacheLine data = r.data;
         bool poisoned = r.poisoned;
         OneShotEvent::schedule(
-            eventq(), clockEdge(params_.readReturnCycles),
+            eventq(), clockEdge(readReturnCycles),
             [this, tag, seq, data, poisoned] {
-                Engine &eng = engines_[tag];
-                if (!eng.active || eng.issueSeq != seq
-                    || eng.phase != Phase::readIssued)
-                    return; // superseded by a retry or reclaim
-                if (consumeStall())
+                // Superseded by a retry or reclaim, or lost.
+                if (engines_[tag].phase != Phase::readIssued
+                    || !cmdWatchdog_.complete(tag, seq))
                     return;
                 readReturned(tag, data, poisoned);
             });
@@ -424,7 +351,7 @@ Mbs::readReturned(unsigned tag, const CacheLine &data, bool poisoned)
                                   + std::to_string(tag));
         respondDone(tag);
         finishEngine(tag);
-        noteWriteDrained(std::uint8_t(tag));
+        flushFence_.drained(tag);
         return;
     }
     // RMW and in-line ops continue to the write path via the ALU.
@@ -460,7 +387,7 @@ Mbs::writeArbPump(unsigned port)
     } else {
         e.phase = Phase::merging;
         OneShotEvent::schedule(eventq(),
-                               clockEdge(params_.aluCycles),
+                               clockEdge(aluCycles),
                                [this, tag, port] {
                                    mergeAndWrite(tag, port);
                                });
@@ -507,7 +434,7 @@ Mbs::mergeAndWrite(unsigned tag, unsigned port)
             enqueueUpstream(encodeResponse(resp));
             respondDone(tag);
             finishEngine(tag);
-            noteWriteDrained(std::uint8_t(tag));
+            flushFence_.drained(tag);
             return;
         }
         e.cmd.data = e.oldData;
@@ -525,19 +452,16 @@ void
 Mbs::issueWrite(unsigned tag, unsigned port)
 {
     Engine &e = engines_[tag];
-    armCmdTimeout(tag);
-    std::uint32_t seq = e.issueSeq;
+    std::uint32_t seq = cmdWatchdog_.arm(tag);
     auto req = std::make_shared<MemRequest>();
     req->addr = e.cmd.addr;
     req->isWrite = true;
     req->data = e.cmd.data;
     req->traceId = e.cmd.traceId;
     req->onDone = [this, tag, seq](MemRequest &) {
-        Engine &eng = engines_[tag];
-        if (!eng.active || eng.issueSeq != seq
-            || eng.phase != Phase::writeIssued)
-            return; // superseded by a retry or reclaim
-        if (consumeStall())
+        // Superseded by a retry or reclaim, or lost.
+        if (engines_[tag].phase != Phase::writeIssued
+            || !cmdWatchdog_.complete(tag, seq))
             return;
         writeCompleted(tag);
     };
@@ -560,25 +484,7 @@ Mbs::writeCompleted(unsigned tag)
     }
     respondDone(tag);
     finishEngine(tag);
-    noteWriteDrained(std::uint8_t(tag));
-}
-
-void
-Mbs::noteWriteDrained(std::uint8_t tag)
-{
-    for (auto it = pendingFlushes_.begin();
-         it != pendingFlushes_.end();) {
-        auto &waiting = it->waitingOn;
-        waiting.erase(std::remove(waiting.begin(), waiting.end(), tag),
-                      waiting.end());
-        if (waiting.empty()) {
-            respondDone(it->tag);
-            finishEngine(it->tag);
-            it = pendingFlushes_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    flushFence_.drained(tag);
 }
 
 void
@@ -610,14 +516,14 @@ Mbs::enqueueUpstream(std::vector<UpFrame> frames)
     for (auto &f : frames)
         upQueue_.push_back(std::move(f));
     if (!upPumpEvent_.scheduled())
-        scheduleClocked(&upPumpEvent_, params_.respondCycles);
+        scheduleClocked(&upPumpEvent_, respondCycles);
 }
 
 void
 Mbs::upstreamPump()
 {
     for (unsigned n = 0;
-         n < params_.upstreamFramesPerCycle && !upQueue_.empty();
+         n < upstreamFramesPerCycle && !upQueue_.empty();
          ++n) {
         UpFrame f = upQueue_.front();
         upQueue_.pop_front();
@@ -649,6 +555,7 @@ Mbs::finishEngine(unsigned tag)
     if (e.cmd.traceId != noTraceId)
         span::closeIfOpen(e.cmd.traceId, "mbs", curTick());
     e = Engine{};
+    cmdWatchdog_.release(tag);
     ct_assert(activeEngines_ > 0);
     --activeEngines_;
     if (!deferred_.empty())
@@ -660,7 +567,7 @@ Mbs::issueToBus(bus::AvalonBus::Port &port,
                 const MemRequestPtr &req)
 {
     unsigned delay_cycles =
-        params_.knobPosition * params_.knobStepCycles;
+        params_.knobPosition * knobStepCycles;
     if (delay_cycles == 0) {
         port.submit(req);
         return;

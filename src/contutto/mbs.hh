@@ -33,6 +33,7 @@
 #include "dmi/codec.hh"
 #include "dmi/link.hh"
 #include "firmware/error_log.hh"
+#include "mem/cmd_watchdog.hh"
 #include "sim/checkpoint.hh"
 
 namespace contutto::fpga
@@ -42,35 +43,32 @@ namespace contutto::fpga
 class Mbs : public SimObject, public ckpt::Checkpointable
 {
   public:
+    /** Frame parse + command dispatch pipeline, cycles. */
+    static constexpr unsigned decodeCycles = 3;
+    /** Read-return handler pipeline, cycles. */
+    static constexpr unsigned readReturnCycles = 2;
+    /** Upstream arbitration pipeline, cycles. */
+    static constexpr unsigned respondCycles = 1;
+    /** RMW ALU latency, cycles. */
+    static constexpr unsigned aluCycles = 1;
+    /** Latency-knob step: 6 cycles = 24 ns (paper §4.1). */
+    static constexpr unsigned knobStepCycles = 6;
+    /** Upstream frames the arbiter can launch per cycle. */
+    static constexpr unsigned upstreamFramesPerCycle = 2;
+
     struct Params
     {
-        /** Frame parse + command dispatch pipeline, cycles. */
-        unsigned decodeCycles = 3;
-        /** Read-return handler pipeline, cycles. */
-        unsigned readReturnCycles = 2;
-        /** Upstream arbitration pipeline, cycles. */
-        unsigned respondCycles = 1;
-        /** RMW ALU latency, cycles. */
-        unsigned aluCycles = 1;
-        /** Latency-knob step: 6 cycles = 24 ns (paper §4.1). */
-        unsigned knobStepCycles = 6;
         /** Initial knob position (0..7). */
         unsigned knobPosition = 0;
-        /** Upstream frames the arbiter can launch per cycle. */
-        unsigned upstreamFramesPerCycle = 2;
         /** Done tags that may share one upstream frame. */
         unsigned doneTagsPerFrame = 2;
         /**
          * Per-command watchdog: if a memory access has not completed
          * this long after issue the engine re-issues it (with
-         * exponential backoff) and eventually reclaims the tag. The
-         * default sits far above any legitimate access latency, even
-         * with a saturated 64-deep controller queue, so only genuine
-         * losses trip it. 0 disables the watchdog.
+         * exponential backoff) and eventually reclaims the tag
+         * (mem::CmdWatchdog). 0 disables the watchdog.
          */
-        Tick cmdTimeout = microseconds(20);
-        /** Re-issues before a stuck tag is reclaimed. */
-        unsigned maxCmdRetries = 3;
+        Tick cmdTimeout = mem::CmdWatchdog::defaultTimeout;
     };
 
     Mbs(const std::string &name, EventQueue &eq,
@@ -89,7 +87,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     knobDelay() const
     {
         return clockPeriod() * params_.knobPosition
-            * params_.knobStepCycles;
+            * knobStepCycles;
     }
 
     /** True when all 32 engines are idle and nothing is queued. */
@@ -110,11 +108,8 @@ class Mbs : public SimObject, public ckpt::Checkpointable
      */
     void powerReset();
 
-    /**
-     * Fault injection: swallow the next @p n memory completions as
-     * if the bus lost them, leaving the engines to their watchdogs.
-     */
-    void stallNextCompletions(unsigned n) { stallBudget_ += n; }
+    /** The engines' watchdog (fault injection stalls through it). */
+    mem::CmdWatchdog &cmdWatchdog() { return cmdWatchdog_; }
 
     struct MbsStats
     {
@@ -127,10 +122,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         stats::Scalar addrOrderStalls;
         stats::Scalar upstreamFrames;
         stats::Scalar doneFramesPacked;
-        stats::Scalar cmdTimeouts;        ///< Watchdog expirations.
-        stats::Scalar cmdRetries;         ///< Accesses re-issued.
-        stats::Scalar tagsReclaimed;      ///< Tags freed by force.
-        stats::Scalar droppedCompletions; ///< Injected stalls consumed.
+        mem::CmdWatchdog::Stats watchdog;
         stats::Scalar poisonedResponses;  ///< Poison sent upstream.
         stats::Distribution engineOccupancy;
     };
@@ -139,8 +131,8 @@ class Mbs : public SimObject, public ckpt::Checkpointable
 
     /** @{ ckpt::Checkpointable: the state that survives powerReset
      *  and steers future behavior — knob position, decoder rotation,
-     *  issue-sequence counter, stall budget, per-engine generation
-     *  guards. Only legal while quiescent. */
+     *  and the watchdog's issue generations and stall budget. Only
+     *  legal while quiescent. */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
     /** @} */
@@ -161,20 +153,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         Phase phase = Phase::idle;
         dmi::MemCommand cmd;
         dmi::CacheLine oldData{}; ///< Read data for RMW/inline ops.
-        unsigned retries = 0;     ///< Watchdog re-issues so far.
-        /**
-         * Generation counter for the outstanding memory access;
-         * completions and timeouts for older issues of this tag
-         * carry a stale value and are ignored.
-         */
-        std::uint32_t issueSeq = 0;
-    };
-
-    /** A pending flush: completes when its tag set drains. */
-    struct FlushOp
-    {
-        std::uint8_t tag;
-        std::vector<std::uint8_t> waitingOn;
     };
 
     void frameArrived(const dmi::DownFrame &frame);
@@ -189,10 +167,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     void writeArbPump(unsigned port);
     void issueWrite(unsigned tag, unsigned port);
     void writeCompleted(unsigned tag);
-    void armCmdTimeout(unsigned tag);
-    void engineTimeout(unsigned tag, std::uint32_t seq);
-    void reclaimTag(unsigned tag);
-    bool consumeStall();
+    void answerReclaimed(unsigned tag);
     void mergeAndWrite(unsigned tag, unsigned port);
     void respondReadData(unsigned tag, const dmi::CacheLine &data,
                          bool poisoned);
@@ -200,7 +175,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     void enqueueUpstream(std::vector<dmi::UpFrame> frames);
     void upstreamPump();
     void finishEngine(unsigned tag);
-    void noteWriteDrained(std::uint8_t tag);
 
     /** Submit to the bus through the latency-knob delay modules. */
     void issueToBus(bus::AvalonBus::Port &port,
@@ -224,8 +198,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     std::deque<dmi::UpFrame> upQueue_;
     EventFunctionWrapper upPumpEvent_;
 
-    std::vector<FlushOp> pendingFlushes_;
-
     /** Commands held back by same-line address ordering. */
     struct Deferred
     {
@@ -234,11 +206,11 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     };
     std::deque<Deferred> deferred_;
 
-    std::uint32_t issueSeqCounter_ = 0;
-    unsigned stallBudget_ = 0;
     firmware::ErrorLog *errorLog_ = nullptr;
 
     MbsStats stats_;
+    mem::CmdWatchdog cmdWatchdog_;
+    mem::FlushFence flushFence_;
 };
 
 } // namespace contutto::fpga

@@ -67,11 +67,11 @@ FaultInjector::addChannel(dmi::DmiChannel *channel)
 }
 
 unsigned
-FaultInjector::addMbs(fpga::Mbs *mbs)
+FaultInjector::addWatchdog(mem::CmdWatchdog *watchdog)
 {
-    ct_assert(mbs != nullptr);
-    mbs_.push_back(mbs);
-    return unsigned(mbs_.size() - 1);
+    ct_assert(watchdog != nullptr);
+    watchdogs_.push_back(watchdog);
+    return unsigned(watchdogs_.size() - 1);
 }
 
 unsigned
@@ -116,7 +116,7 @@ FaultInjector::inject(const FaultEvent &ev)
         stats_.frameDrops += ev.count;
         break;
       case FaultKind::engineStall:
-        mbs_.at(ev.target)->stallNextCompletions(ev.count);
+        watchdogs_.at(ev.target)->stallNextCompletions(ev.count);
         stats_.engineStalls += ev.count;
         break;
       case FaultKind::scramblerDesync:
@@ -231,12 +231,12 @@ FaultInjector::planCampaign(const CampaignSpec &spec)
                   0, 1);
 
     if (spec.engineStalls > 0) {
-        ct_assert(!mbs_.empty());
+        ct_assert(!watchdogs_.empty());
         for (unsigned i = 0; i < spec.engineStalls; ++i) {
             FaultEvent ev;
             ev.when = randWhen();
             ev.kind = FaultKind::engineStall;
-            ev.target = unsigned(rng_.below(mbs_.size()));
+            ev.target = unsigned(rng_.below(watchdogs_.size()));
             ev.count = 1;
             plan.push_back(ev);
         }

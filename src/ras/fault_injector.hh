@@ -3,10 +3,10 @@
  * Unified fault-injection campaign driver.
  *
  * Every fault hook in the stack — DRAM bit flips (MemImage), frame
- * corruption/bursts/drops (DmiChannel), engine completion stalls
- * (Mbs), scrambler desync, lane failure, NVDIMM power loss — is
- * routed through one registry so integration tests compose faults
- * declaratively. Randomized campaigns are seeded from sim/random.hh:
+ * corruption/bursts/drops (DmiChannel), memory completion stalls (a
+ * buffer's CmdWatchdog), scrambler desync, lane failure, NVDIMM power
+ * loss — is routed through one registry so integration tests compose
+ * faults declaratively. Randomized campaigns are seeded from sim/random.hh:
  * the same seed plans the identical fault list, which is what lets
  * the soak test assert counter-for-counter reproducibility.
  */
@@ -16,8 +16,8 @@
 
 #include <vector>
 
-#include "contutto/mbs.hh"
 #include "dmi/channel.hh"
+#include "mem/cmd_watchdog.hh"
 #include "mem/device.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
@@ -83,7 +83,7 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
     /** @{ Register targets; returns the index to use in events. */
     unsigned addMemory(mem::MemImage *image);
     unsigned addChannel(dmi::DmiChannel *channel);
-    unsigned addMbs(fpga::Mbs *mbs);
+    unsigned addWatchdog(mem::CmdWatchdog *watchdog);
     unsigned addNvdimm(mem::NvdimmDevice *nvdimm);
     unsigned addPowerTarget(PowerTarget *target);
     /** @} */
@@ -109,7 +109,7 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
         unsigned frameDrops = 0;       ///< Across all channels.
         unsigned burstErrors = 0;      ///< Across all channels.
         unsigned burstBits = 24;       ///< Bits per injected burst.
-        unsigned engineStalls = 0;     ///< Across all Mbs targets.
+        unsigned engineStalls = 0;     ///< Across all watchdogs.
         unsigned scramblerDesyncs = 0; ///< Across all channels.
         /** Power-cut/restore pairs across all power targets; each
          *  cut is followed by a restore after a seeded outage in
@@ -171,7 +171,7 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
     Rng rng_;
     std::vector<mem::MemImage *> memories_;
     std::vector<dmi::DmiChannel *> channels_;
-    std::vector<fpga::Mbs *> mbs_;
+    std::vector<mem::CmdWatchdog *> watchdogs_;
     std::vector<mem::NvdimmDevice *> nvdimms_;
     std::vector<PowerTarget *> powerTargets_;
     std::vector<FaultEvent> history_;

@@ -140,7 +140,7 @@ SoakCampaign::run(const Spec &spec, const std::atomic<bool> *cancel)
     inj.addMemory(&sys.dimm(1).image());
     inj.addChannel(&sys.downChannel());
     inj.addChannel(&sys.upChannel());
-    inj.addMbs(&sys.card()->mbs());
+    inj.addWatchdog(&sys.card()->mbs().cmdWatchdog());
 
     FaultInjector::CampaignSpec cs;
     cs.start = sys.eventq().curTick();
@@ -247,11 +247,11 @@ SoakCampaign::run(const Spec &spec, const std::atomic<bool> *cancel)
                   + sys.dimm(1).image().correctedErrors();
     r.uncorrectable = sys.dimm(0).image().uncorrectableErrors()
                       + sys.dimm(1).image().uncorrectableErrors();
-    r.cmdTimeouts = std::uint64_t(mbs.cmdTimeouts.value());
-    r.cmdRetries = std::uint64_t(mbs.cmdRetries.value());
-    r.tagsReclaimed = std::uint64_t(mbs.tagsReclaimed.value());
+    r.cmdTimeouts = std::uint64_t(mbs.watchdog.cmdTimeouts.value());
+    r.cmdRetries = std::uint64_t(mbs.watchdog.cmdRetries.value());
+    r.tagsReclaimed = std::uint64_t(mbs.watchdog.tagsReclaimed.value());
     r.droppedCompletions =
-        std::uint64_t(mbs.droppedCompletions.value());
+        std::uint64_t(mbs.watchdog.droppedCompletions.value());
     r.framesCorrupted = std::uint64_t(down.framesCorrupted.value()
                                       + up.framesCorrupted.value());
     r.framesDropped = std::uint64_t(down.framesDropped.value()

@@ -109,7 +109,7 @@ checkRas(std::uint64_t seed, const RasGolden &g)
     inj.addMemory(&sys.dimm(1).image());
     inj.addChannel(&sys.downChannel());
     inj.addChannel(&sys.upChannel());
-    inj.addMbs(&sys.card()->mbs());
+    inj.addWatchdog(&sys.card()->mbs().cmdWatchdog());
 
     ras::FaultInjector::CampaignSpec spec;
     spec.start = sys.eventq().curTick();
@@ -169,9 +169,9 @@ checkRas(std::uint64_t seed, const RasGolden &g)
     const auto &mbs = sys.card()->mbs().mbsStats();
     const auto &down = sys.downChannel().channelStats();
     const auto &up = sys.upChannel().channelStats();
-    EXPECT_EQ(mbs.cmdTimeouts.value(), g.timeouts);
-    EXPECT_EQ(mbs.cmdRetries.value(), g.retries);
-    EXPECT_EQ(mbs.droppedCompletions.value(), g.dropped);
+    EXPECT_EQ(mbs.watchdog.cmdTimeouts.value(), g.timeouts);
+    EXPECT_EQ(mbs.watchdog.cmdRetries.value(), g.retries);
+    EXPECT_EQ(mbs.watchdog.droppedCompletions.value(), g.dropped);
     EXPECT_EQ(down.framesCorrupted.value() + up.framesCorrupted.value(),
               g.corrupt);
     EXPECT_EQ(down.framesDropped.value() + up.framesDropped.value(),

@@ -134,7 +134,7 @@ runShardedSoak(std::uint64_t seed, unsigned shards, bool parallel)
         inj->addChannel(&ch.upChannel());
         const bool contutto = ch.card() != nullptr;
         if (contutto)
-            inj->addMbs(&ch.card()->mbs());
+            inj->addWatchdog(&ch.card()->mbs().cmdWatchdog());
 
         ras::FaultInjector::CampaignSpec spec;
         spec.start = socket.channelQueue(c).curTick();

@@ -94,6 +94,7 @@ main()
                                    key](const HostOpResult &) {
                 if (++*level >= 4) {
                     ++walked;
+                    *step = nullptr; // *step holds step: break the cycle
                     walk();
                     return;
                 }

@@ -67,10 +67,12 @@ main()
     printf("---------------------------------------------------"
            "--------------------------\n");
 
+    bool all_ok = true;
     for (const Config &cfg : configs) {
         Power8System sys(cfg.params);
         if (!sys.train()) {
             std::printf("%-24s training failed\n", cfg.name);
+            all_ok = false;
             continue;
         }
         if (sys.card())
@@ -91,6 +93,11 @@ main()
         });
         while (!finished && sys.eventq().step()) {
         }
+        if (!finished) {
+            std::printf("%-24s replay did not finish\n", cfg.name);
+            all_ok = false;
+            continue;
+        }
 
         std::uint64_t mem_trips =
             result.reads + result.writes - result.cacheHits;
@@ -108,5 +115,5 @@ main()
                 "memory-side energy — its prefetcher fetches lines "
                 "the trace never uses. One artifact, every "
                 "subsystem: the workflow ConTutto exists for.\n");
-    return 0;
+    return all_ok ? 0 : 1;
 }

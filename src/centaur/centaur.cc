@@ -31,7 +31,6 @@ CentaurModel::conservative()
     Config c;
     c.configName = "conservative";
     c.cacheEnabled = false;
-    c.prefetchEnabled = false;
     c.extraLatency = nanoseconds(12);
     return c;
 }
@@ -42,7 +41,6 @@ CentaurModel::slowest()
     Config c;
     c.configName = "slowest";
     c.cacheEnabled = false;
-    c.prefetchEnabled = false;
     c.extraLatency = nanoseconds(145);
     return c;
 }
@@ -65,7 +63,6 @@ CentaurModel::contuttoMatched()
     Config c;
     c.configName = "contutto-matched";
     c.cacheEnabled = false;
-    c.prefetchEnabled = false;
     c.extraLatency = nanoseconds(189);
     return c;
 }
@@ -98,7 +95,8 @@ CentaurModel::CentaurModel(const std::string &name, EventQueue &eq,
           [this](unsigned tag) { answerReclaimed(std::uint8_t(tag)); }),
       flushFence_([this](unsigned tag) {
           sendDone(std::uint8_t(tag), cmds_[tag].traceId);
-      })
+      }),
+      lineOrder_([this](unsigned tag) { serve(std::uint8_t(tag)); })
 {
     ct_assert(!ports_.empty());
     link_.onFrame = [this](const DownFrame &f) { frameArrived(f); };
@@ -116,8 +114,7 @@ CentaurModel::frameArrived(const DownFrame &frame)
     if (auto cmd = assembler_.feed(frame)) {
         ++activeCommands_;
         // Command parse/dispatch pipeline plus the knob penalty.
-        Tick when = curTick() + config_.pipelineLatency
-            + config_.extraLatency;
+        Tick when = curTick() + pipelineLatency + config_.extraLatency;
         MemCommand c = *cmd;
         OneShotEvent::schedule(eventq(), when,
                                [this, c] { execute(c); });
@@ -125,25 +122,27 @@ CentaurModel::frameArrived(const DownFrame &frame)
 }
 
 void
-CentaurModel::execute(const MemCommand &cmd, bool redispatch)
+CentaurModel::execute(const MemCommand &cmd)
 {
     // The command cleared the parse/dispatch pipeline: close the
     // downstream-wire span, open the buffer-residency one (covering
-    // any same-line deferral below). Deferred commands re-executed
-    // after the blocking write drains keep their existing spans.
-    if (!redispatch && cmd.traceId != noTraceId) {
+    // any same-line parking below).
+    if (cmd.traceId != noTraceId) {
         span::closeIfOpen(cmd.traceId, "dmi.down", curTick());
         span::open(cmd.traceId, "centaur", curTick());
     }
 
+    cmds_[cmd.tag] = cmd;
     // Same-line ordering: reads and writes behind an outstanding
     // write to the same line wait for it.
-    auto it = pendingWrites_.find(cmd.addr);
-    if (it != pendingWrites_.end() && it->second > 0
-        && cmd.type != CmdType::flush) {
-        deferred_.push_back(cmd);
-        return;
-    }
+    if (lineOrder_.admit(cmd.tag, cmd.addr, cmd.type))
+        serve(cmd.tag);
+}
+
+void
+CentaurModel::serve(std::uint8_t tag)
+{
+    const MemCommand &cmd = cmds_[tag];
     switch (cmd.type) {
       case CmdType::read128:
         serveRead(cmd);
@@ -164,7 +163,8 @@ CentaurModel::execute(const MemCommand &cmd, bool redispatch)
         ++stats_.unsupportedCommands;
         warn("Centaur: unsupported command type %d; completing as "
              "no-op", int(cmd.type));
-        sendDone(cmd.tag, cmd.traceId);
+        sendDone(tag, cmd.traceId);
+        flushFence_.drained(tag);
         break;
     }
 }
@@ -191,20 +191,9 @@ CentaurModel::answerReclaimed(std::uint8_t tag)
 void
 CentaurModel::writeDone(std::uint8_t tag)
 {
-    Addr line = cmds_[tag].addr;
     sendDone(tag, cmds_[tag].traceId);
-    releaseWrite(line);
+    lineOrder_.release(tag);
     flushFence_.drained(tag);
-}
-
-void
-CentaurModel::releaseWrite(Addr line)
-{
-    auto pit = pendingWrites_.find(line);
-    ct_assert(pit != pendingWrites_.end() && pit->second > 0);
-    if (--pit->second == 0)
-        pendingWrites_.erase(pit);
-    retryDeferred(line);
 }
 
 void
@@ -213,13 +202,13 @@ CentaurModel::serveRead(const MemCommand &cmd)
     ++stats_.reads;
     if (config_.cacheEnabled && cache_.lookup(cmd.addr)) {
         ++stats_.cacheHits;
-        MemCommand c = cmd;
-        OneShotEvent::schedule(eventq(),
-                               curTick() + config_.cacheHitLatency,
-                               [this, c] {
+        std::uint8_t tag = cmd.tag;
+        OneShotEvent::schedule(eventq(), curTick() + cacheHitLatency,
+                               [this, tag] {
                                    // Even cache hits re-verify the
                                    // backing line: the tag-only cache
                                    // serves data from the image.
+                                   const MemCommand &c = cmds_[tag];
                                    EccScan scan =
                                        portFor(c.addr).device().image()
                                            .verify(localAddr(c.addr),
@@ -232,7 +221,6 @@ CentaurModel::serveRead(const MemCommand &cmd)
     if (config_.cacheEnabled)
         ++stats_.cacheMisses;
 
-    cmds_[cmd.tag] = cmd;
     issueAccess(cmd.tag);
 }
 
@@ -268,25 +256,22 @@ CentaurModel::readDone(std::uint8_t tag, bool poisoned)
 {
     const MemCommand &c = cmds_[tag];
     if (config_.cacheEnabled) {
-        // Write-through cache: fills are never dirty.
+        // Write-through cache: fills are never dirty. The next line
+        // is prefetched, unless it lies past the end of the channel.
         cache_.fill(c.addr);
-        if (config_.prefetchEnabled) {
-            // The line after the last one of the channel has nothing
-            // to prefetch.
-            Addr next = c.addr + cacheLineSize;
-            bool inRange = localAddr(next) + cacheLineSize
-                <= portFor(next).device().capacity();
-            if (inRange && !cache_.probe(next)) {
-                ++stats_.prefetches;
-                auto pf = std::make_shared<MemRequest>();
-                pf->addr = localAddr(next);
-                pf->isWrite = false;
-                pf->onDone = [this, next](MemRequest &) {
-                    cache_.fill(next);
-                };
-                if (portFor(next).canAccept())
-                    portFor(next).submit(pf);
-            }
+        Addr next = c.addr + cacheLineSize;
+        bool inRange = localAddr(next) + cacheLineSize
+            <= portFor(next).device().capacity();
+        if (inRange && !cache_.probe(next)) {
+            ++stats_.prefetches;
+            auto pf = std::make_shared<MemRequest>();
+            pf->addr = localAddr(next);
+            pf->isWrite = false;
+            pf->onDone = [this, next](MemRequest &) {
+                cache_.fill(next);
+            };
+            if (portFor(next).canAccept())
+                portFor(next).submit(pf);
         }
     }
     finishRead(c, poisoned);
@@ -326,7 +311,7 @@ CentaurModel::serveWrite(const MemCommand &cmd)
         ++stats_.rmws;
     else
         ++stats_.writes;
-    ++pendingWrites_[cmd.addr];
+    lineOrder_.hold(cmd.tag);
 
     if (config_.cacheEnabled) {
         // Write-through: update the tag state, then write memory.
@@ -334,7 +319,6 @@ CentaurModel::serveWrite(const MemCommand &cmd)
             cache_.writeHit(cmd.addr);
     }
 
-    cmds_[cmd.tag] = cmd;
     issueAccess(cmd.tag);
 }
 
@@ -342,34 +326,7 @@ void
 CentaurModel::serveFlush(const MemCommand &cmd)
 {
     ++stats_.flushes;
-    cmds_[cmd.tag] = cmd;
-    // Older writes: every write-class command with a live watchdog
-    // plus the ones parked in the same-line ordering queue.
-    mem::FlushFence::TagMask older = 0;
-    for (unsigned t = 0; t < numTags; ++t)
-        if (cmdWatchdog_.outstanding(t)
-            && cmds_[t].type != CmdType::read128)
-            older |= 1u << t;
-    for (const MemCommand &d : deferred_)
-        if (d.type != CmdType::read128 && d.type != CmdType::flush)
-            older |= 1u << d.tag;
-    flushFence_.add(cmd.tag, older);
-}
-
-void
-CentaurModel::retryDeferred(Addr addr)
-{
-    // Re-execute the oldest deferred command for this line; a write
-    // re-registers in pendingWrites_, keeping younger same-line
-    // commands deferred until it finishes in turn.
-    for (auto it = deferred_.begin(); it != deferred_.end(); ++it) {
-        if (it->addr == addr) {
-            MemCommand cmd = *it;
-            deferred_.erase(it);
-            execute(cmd, true);
-            return;
-        }
-    }
+    flushFence_.add(cmd.tag, lineOrder_.olderWrites());
 }
 
 void
@@ -391,8 +348,7 @@ CentaurModel::sendDone(std::uint8_t tag, TraceId traceId)
 void
 CentaurModel::checkpointSave(ckpt::Section &out) const
 {
-    if (!quiescent() || !deferred_.empty() || !flushFence_.empty()
-        || !pendingWrites_.empty())
+    if (!quiescent() || !lineOrder_.empty() || !flushFence_.empty())
         panic("%s: checkpoint while not quiescent", name().c_str());
     cache_.checkpointSave(out);
     cmdWatchdog_.checkpointSave(out);
@@ -401,8 +357,7 @@ CentaurModel::checkpointSave(ckpt::Section &out) const
 void
 CentaurModel::checkpointRestore(ckpt::Section &in)
 {
-    if (!quiescent() || !deferred_.empty() || !flushFence_.empty()
-        || !pendingWrites_.empty())
+    if (!quiescent() || !lineOrder_.empty() || !flushFence_.empty())
         panic("%s: restore while not quiescent", name().c_str());
     cache_.checkpointRestore(in);
     cmdWatchdog_.checkpointRestore(in);

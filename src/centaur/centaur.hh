@@ -8,16 +8,15 @@
  * (paper §2.1). It is the latency/throughput baseline for Tables 2
  * and 3 and Figures 6 and 7. The paper varies "different
  * performance-related knobs available in it" to sweep memory latency
- * (Table 2); Config models those knobs: cache enable, prefetch
- * enable, and a conservative-mode pipeline penalty.
+ * (Table 2); Config models those knobs: cache (and with it the
+ * next-line prefetcher) enable, and a conservative-mode pipeline
+ * penalty.
  */
 
 #ifndef CONTUTTO_CENTAUR_CENTAUR_HH
 #define CONTUTTO_CENTAUR_CENTAUR_HH
 
 #include <array>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "dmi/codec.hh"
@@ -27,6 +26,7 @@
 #include "mem/cmd_watchdog.hh"
 #include "mem/ddr3_controller.hh"
 #include "mem/line_interleave.hh"
+#include "mem/line_order.hh"
 
 namespace contutto::centaur
 {
@@ -38,12 +38,8 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     struct Config
     {
         std::string configName = "optimized";
+        /** The eDRAM cache and its next-line prefetcher. */
         bool cacheEnabled = true;
-        bool prefetchEnabled = true;
-        /** Command-processing pipeline latency (ASIC, 2 GHz). */
-        Tick pipelineLatency = nanoseconds(8);
-        /** Cache hit service latency (eDRAM). */
-        Tick cacheHitLatency = nanoseconds(10);
         /**
          * Conservative-mode penalty: the Table 2 performance knobs
          * (serialized handshakes, speculative access off, ...).
@@ -54,6 +50,10 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     /** The 16 MB eDRAM buffer cache. */
     static constexpr std::uint64_t cacheCapacity = 16 * MiB;
     static constexpr unsigned cacheWays = 8;
+    /** Command-processing pipeline latency (ASIC, 2 GHz). */
+    static constexpr Tick pipelineLatency = nanoseconds(8);
+    /** Cache hit service latency (eDRAM). */
+    static constexpr Tick cacheHitLatency = nanoseconds(10);
 
     /** @{ The Table 2 knob settings (latency-calibrated presets). */
     static Config optimized();     ///< cfg 1: 79 ns class.
@@ -62,11 +62,11 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     static Config slowest();       ///< cfg 4: 249 ns class.
     /** @} */
 
-    /** Cache and auxiliary functions disabled, handshakes padded to
-     *  mirror the feature set ConTutto implements (293 ns class). */
     /** The Table 3 system's latency-optimized Centaur (97 ns). */
     static Config table3Baseline();
 
+    /** Cache and auxiliary functions disabled, handshakes padded to
+     *  mirror the feature set ConTutto implements (293 ns class). */
     static Config contuttoMatched();
 
     CentaurModel(const std::string &name, EventQueue &eq,
@@ -107,15 +107,15 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
 
     /** @{ ckpt::Checkpointable: the eDRAM cache tags and the
      *  watchdog's issue generations and stall budget. Only legal
-     *  while quiescent with nothing deferred. */
+     *  while quiescent with nothing parked. */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
     /** @} */
 
   private:
     void frameArrived(const dmi::DownFrame &frame);
-    void execute(const dmi::MemCommand &cmd, bool redispatch = false);
-    void retryDeferred(Addr addr);
+    void execute(const dmi::MemCommand &cmd);
+    void serve(std::uint8_t tag);
     void serveRead(const dmi::MemCommand &cmd);
     void serveWrite(const dmi::MemCommand &cmd);
     void serveFlush(const dmi::MemCommand &cmd);
@@ -125,7 +125,6 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     void finishRead(const dmi::MemCommand &cmd, bool poisoned);
     void sendDone(std::uint8_t tag, TraceId traceId);
     void answerReclaimed(std::uint8_t tag);
-    void releaseWrite(Addr line);
     mem::Ddr3Controller &portFor(Addr addr);
     Addr localAddr(Addr addr) const
     {
@@ -139,16 +138,15 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     dmi::CommandAssembler assembler_;
     mem::CacheModel cache_;
     unsigned activeCommands_ = 0;
-    /** Outstanding write counts per line, for read-after-write
-     *  ordering (reads must not pass writes via the cache path). */
-    std::unordered_map<Addr, unsigned> pendingWrites_;
-    std::deque<dmi::MemCommand> deferred_;
-    /** Each tag's command, for re-issue or to finish its flush. */
+    /** Each tag's command from execute() until its done. */
     std::array<dmi::MemCommand, dmi::numTags> cmds_{};
     firmware::ErrorLog *errorLog_ = nullptr;
     CentaurStats stats_;
     mem::CmdWatchdog cmdWatchdog_;
     mem::FlushFence flushFence_;
+    /** Writes hold their line from serveWrite() until writeDone(), so
+     *  reads cannot pass them through the cache path. */
+    mem::LineOrder lineOrder_;
 };
 
 } // namespace contutto::centaur

@@ -69,9 +69,9 @@ Mbs::Mbs(const std::string &name, EventQueue &eq,
       flushFence_([this](unsigned tag) {
           respondDone(tag);
           finishEngine(tag);
-      })
+      }),
+      lineOrder_([this](unsigned tag) { startEngine(tag); })
 {
-    ct_assert(params_.knobPosition <= 7);
     readPorts_[0] = &bus_.createPort(name + ".rd0");
     readPorts_[1] = &bus_.createPort(name + ".rd1");
     writePorts_[0] = &bus_.createPort(name + ".wr0");
@@ -92,14 +92,14 @@ void
 Mbs::setKnobPosition(unsigned pos)
 {
     ct_assert(pos <= 7);
-    params_.knobPosition = pos;
+    knobPosition_ = pos;
 }
 
 bool
 Mbs::quiescent() const
 {
     return activeEngines_ == 0 && upQueue_.empty()
-        && flushFence_.empty() && deferred_.empty();
+        && flushFence_.empty() && lineOrder_.empty();
 }
 
 void
@@ -121,7 +121,7 @@ Mbs::powerReset()
     if (upPumpEvent_.scheduled())
         eventq().deschedule(&upPumpEvent_);
     flushFence_.clear();
-    deferred_.clear();
+    lineOrder_.clear();
 }
 
 void
@@ -129,7 +129,7 @@ Mbs::checkpointSave(ckpt::Section &out) const
 {
     if (!quiescent())
         panic("%s: checkpoint while not quiescent", name().c_str());
-    out.putU32(params_.knobPosition);
+    out.putU32(knobPosition_);
     out.putU32(frameCounter_);
     cmdWatchdog_.checkpointSave(out);
 }
@@ -139,53 +139,9 @@ Mbs::checkpointRestore(ckpt::Section &in)
 {
     if (!quiescent())
         panic("%s: restore while not quiescent", name().c_str());
-    params_.knobPosition = in.getU32();
+    knobPosition_ = in.getU32();
     frameCounter_ = in.getU32();
     cmdWatchdog_.checkpointRestore(in);
-}
-
-bool
-Mbs::addrConflictsWithActive(const MemCommand &cmd) const
-{
-    if (cmd.type == CmdType::flush)
-        return false; // flush carries no address
-    for (const Engine &e : engines_)
-        if (e.active && e.cmd.type != CmdType::flush
-            && e.cmd.addr == cmd.addr)
-            return true;
-    return false;
-}
-
-void
-Mbs::retryDeferred()
-{
-    // Dispatch deferred commands in arrival order; a command stays
-    // deferred while an active engine or an *earlier* deferred
-    // command targets the same line.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto it = deferred_.begin(); it != deferred_.end();
-             ++it) {
-            if (addrConflictsWithActive(it->cmd))
-                continue;
-            bool older_same_line = false;
-            for (auto jt = deferred_.begin(); jt != it; ++jt) {
-                if (jt->cmd.type != CmdType::flush
-                    && jt->cmd.addr == it->cmd.addr) {
-                    older_same_line = true;
-                    break;
-                }
-            }
-            if (older_same_line)
-                continue;
-            Deferred d = *it;
-            deferred_.erase(it);
-            dispatch(d.cmd, d.decoder, true);
-            progress = true;
-            break;
-        }
-    }
 }
 
 void
@@ -201,79 +157,71 @@ Mbs::frameArrived(const DownFrame &frame)
 }
 
 void
-Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
-              bool deferredRetry)
+Mbs::dispatch(const MemCommand &cmd, unsigned decoder)
 {
     // The command has fully arrived and cleared the decode pipeline:
     // end the downstream-wire span, start the buffer-residency span
-    // (which includes any same-line deferral below). Re-dispatches
-    // of deferred commands keep the spans they already own.
-    if (!deferredRetry && cmd.traceId != noTraceId) {
+    // (which includes any same-line parking below).
+    if (cmd.traceId != noTraceId) {
         span::closeIfOpen(cmd.traceId, "dmi.down", curTick());
         span::open(cmd.traceId, "mbs", curTick());
-    }
-
-    // Same-line ordering: a command to a line with an older command
-    // still in flight waits so reads cannot pass writes.
-    if (addrConflictsWithActive(cmd)) {
-        ++stats_.addrOrderStalls;
-        deferred_.push_back(Deferred{cmd, decoder});
-        return;
     }
 
     Engine &e = engines_[cmd.tag];
     if (e.active)
         panic("MBS: tag %u dispatched while engine busy", cmd.tag);
-    e.active = true;
     e.cmd = cmd;
+    e.decoder = std::uint8_t(decoder);
+    // Same-line ordering: a command to a line with an older command
+    // still in flight waits so reads cannot pass writes.
+    if (!lineOrder_.admit(cmd.tag, cmd.addr, cmd.type)) {
+        ++stats_.addrOrderStalls;
+        return;
+    }
+    startEngine(cmd.tag);
+}
+
+void
+Mbs::startEngine(unsigned tag)
+{
+    Engine &e = engines_[tag];
+    const MemCommand &cmd = e.cmd;
+    e.active = true;
     ++activeEngines_;
     stats_.engineOccupancy.sample(double(activeEngines_));
     CT_TRACE("MBS", *this, "dispatch tag %u type %d addr 0x%llx "
-             "(%u engines busy)", cmd.tag, int(cmd.type),
+             "(%u engines busy)", tag, int(cmd.type),
              (unsigned long long)cmd.addr, activeEngines_);
+    if (cmd.type != CmdType::flush)
+        lineOrder_.hold(tag);
 
     switch (cmd.type) {
       case CmdType::read128:
         ++stats_.reads;
         e.phase = Phase::readIssued;
-        issueRead(cmd.tag, decoder);
+        issueRead(tag, e.decoder);
         break;
       case CmdType::write128:
         ++stats_.writes;
         e.phase = Phase::writeArb;
-        requestWriteGrant(cmd.tag);
+        requestWriteGrant(tag);
         break;
       case CmdType::partialWrite:
         // Atomic RMW: read, merge in the ALU, write back (§3.3(iii)).
         ++stats_.rmws;
         e.phase = Phase::readIssued;
-        issueRead(cmd.tag, decoder);
+        issueRead(tag, e.decoder);
         break;
-      case CmdType::flush: {
+      case CmdType::flush:
         ++stats_.flushes;
-        mem::FlushFence::TagMask older = 0;
-        for (unsigned t = 0; t < numTags; ++t) {
-            const Engine &other = engines_[t];
-            if (t != cmd.tag && other.active
-                && other.cmd.type != CmdType::read128
-                && other.cmd.type != CmdType::flush)
-                older |= 1u << t;
-        }
-        // Writes held in the same-line ordering queue are older than
-        // this flush and must drain too.
-        for (const Deferred &d : deferred_)
-            if (d.cmd.type != CmdType::read128
-                && d.cmd.type != CmdType::flush)
-                older |= 1u << d.cmd.tag;
-        flushFence_.add(cmd.tag, older);
+        flushFence_.add(tag, lineOrder_.olderWrites());
         break;
-      }
       case CmdType::minStore:
       case CmdType::maxStore:
       case CmdType::condSwap:
         ++stats_.inlineOps;
         e.phase = Phase::readIssued;
-        issueRead(cmd.tag, decoder);
+        issueRead(tag, e.decoder);
         break;
     }
 }
@@ -558,16 +506,14 @@ Mbs::finishEngine(unsigned tag)
     cmdWatchdog_.release(tag);
     ct_assert(activeEngines_ > 0);
     --activeEngines_;
-    if (!deferred_.empty())
-        retryDeferred();
+    lineOrder_.release(tag);
 }
 
 void
 Mbs::issueToBus(bus::AvalonBus::Port &port,
                 const MemRequestPtr &req)
 {
-    unsigned delay_cycles =
-        params_.knobPosition * knobStepCycles;
+    unsigned delay_cycles = knobPosition_ * knobStepCycles;
     if (delay_cycles == 0) {
         port.submit(req);
         return;

@@ -34,6 +34,7 @@
 #include "dmi/link.hh"
 #include "firmware/error_log.hh"
 #include "mem/cmd_watchdog.hh"
+#include "mem/line_order.hh"
 #include "sim/checkpoint.hh"
 
 namespace contutto::fpga
@@ -58,8 +59,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
 
     struct Params
     {
-        /** Initial knob position (0..7). */
-        unsigned knobPosition = 0;
         /** Done tags that may share one upstream frame. */
         unsigned doneTagsPerFrame = 2;
         /**
@@ -80,14 +79,13 @@ class Mbs : public SimObject, public ckpt::Checkpointable
 
     /** Move the latency knob (software controllable, §4.1). */
     void setKnobPosition(unsigned pos);
-    unsigned knobPosition() const { return params_.knobPosition; }
+    unsigned knobPosition() const { return knobPosition_; }
 
     /** Added one-way latency of the current knob setting. */
     Tick
     knobDelay() const
     {
-        return clockPeriod() * params_.knobPosition
-            * knobStepCycles;
+        return clockPeriod() * knobPosition_ * knobStepCycles;
     }
 
     /** True when all 32 engines are idle and nothing is queued. */
@@ -147,19 +145,19 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         merging,        ///< In the RMW ALU.
     };
 
+    /** A tag's command from dispatch, parked or running. */
     struct Engine
     {
         bool active = false;
         Phase phase = Phase::idle;
+        std::uint8_t decoder = 0; ///< The frame decoder it came from.
         dmi::MemCommand cmd;
         dmi::CacheLine oldData{}; ///< Read data for RMW/inline ops.
     };
 
     void frameArrived(const dmi::DownFrame &frame);
-    void dispatch(const dmi::MemCommand &cmd, unsigned decoder,
-                  bool deferredRetry = false);
-    bool addrConflictsWithActive(const dmi::MemCommand &cmd) const;
-    void retryDeferred();
+    void dispatch(const dmi::MemCommand &cmd, unsigned decoder);
+    void startEngine(unsigned tag);
     void issueRead(unsigned tag, unsigned decoder);
     void readReturned(unsigned tag, const dmi::CacheLine &data,
                       bool poisoned);
@@ -181,6 +179,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
                     const mem::MemRequestPtr &req);
 
     Params params_;
+    unsigned knobPosition_ = 0; ///< 0..7, moved by software.
     dmi::BufferLink &link_;
     bus::AvalonBus &bus_;
     dmi::CommandAssembler assembler_;
@@ -198,19 +197,13 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     std::deque<dmi::UpFrame> upQueue_;
     EventFunctionWrapper upPumpEvent_;
 
-    /** Commands held back by same-line address ordering. */
-    struct Deferred
-    {
-        dmi::MemCommand cmd;
-        unsigned decoder;
-    };
-    std::deque<Deferred> deferred_;
-
     firmware::ErrorLog *errorLog_ = nullptr;
 
     MbsStats stats_;
     mem::CmdWatchdog cmdWatchdog_;
     mem::FlushFence flushFence_;
+    /** Every running non-flush engine holds its line. */
+    mem::LineOrder lineOrder_;
 };
 
 } // namespace contutto::fpga

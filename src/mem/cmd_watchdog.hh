@@ -3,8 +3,8 @@
  * How a memory buffer survives a lost memory completion (CmdWatchdog)
  * and what a flush waits for (FlushFence, paper §4.2). MBS and the
  * Centaur baseline share both; each supplies only how to re-issue a
- * tag's access, how to answer the host for a reclaimed tag, which
- * tags are a flush's older writes, and how to finish a flush.
+ * tag's access, how to answer the host for a reclaimed tag and how to
+ * finish a flush. A flush's older writes come from mem::LineOrder.
  */
 
 #ifndef CONTUTTO_MEM_CMD_WATCHDOG_HH
@@ -118,8 +118,6 @@ class CmdWatchdog
         for (Tag &t : tags_)
             t = Tag{false, t.gen, 0};
     }
-
-    bool outstanding(unsigned tag) const { return tags_[tag].outstanding; }
 
     /** @{ Generation counter, stall budget, per-tag generations.
      *  Only legal with no access outstanding. */

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+
 #include "cpu/system.hh"
 
 using namespace contutto;
@@ -205,5 +208,112 @@ TEST(Centaur, ReadAfterWriteSeesNewData)
     ASSERT_TRUE(sys.runUntilIdle());
     EXPECT_TRUE(read_done);
 }
+
+TEST(CentaurOrdering, UnsupportedOpBehindWriteReleasesFlush)
+{
+    // The in-line op parks behind the write to its line, so the
+    // flush counts it among its older writes; completing it as a
+    // no-op must release the flush too.
+    Power8System sys(
+        centaurSystem(centaur::CentaurModel::conservative()));
+    ASSERT_TRUE(sys.train());
+    LogControl::warnings() = false;
+    unsigned done = 0;
+    auto count = [&](const HostOpResult &) { ++done; };
+    CacheLine line;
+    line.fill(0x11);
+    sys.port().write(0x9000, line, count);
+    sys.port().minStore(0x9000, line, count);
+    sys.port().flush(count);
+    bool idle = sys.runUntilIdle(milliseconds(1));
+    LogControl::warnings() = true;
+    EXPECT_TRUE(idle);
+    EXPECT_EQ(done, 3u);
+}
+
+class CentaurFuzz
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>>
+{};
+
+TEST_P(CentaurFuzz, SameLineStreamMatchesReference)
+{
+    // Random writes, partial writes, reads and flushes to a few lines,
+    // so commands keep landing behind older ones to the same line.
+    // Each read must return the line as it stood when the read was
+    // issued, and the whole region must match at the end.
+    auto [seed, cache] = GetParam();
+    Power8System sys(centaurSystem(
+        cache ? centaur::CentaurModel::optimized()
+              : centaur::CentaurModel::conservative()));
+    ASSERT_TRUE(sys.train());
+    Rng rng(seed);
+
+    constexpr unsigned lines = 24; // small: frequent conflicts
+    std::vector<CacheLine> ref(lines);
+    for (unsigned li = 0; li < lines; ++li)
+        sys.functionalRead(Addr(li) * 128, 128, ref[li].data());
+
+    unsigned issued = 0, completed = 0;
+    auto count = [&](const HostOpResult &r) {
+        EXPECT_FALSE(r.failed);
+        ++completed;
+    };
+    for (int op = 0; op < 150; ++op) {
+        unsigned li = unsigned(rng.below(lines));
+        Addr addr = Addr(li) * 128;
+        CacheLine data;
+        for (auto &b : data)
+            b = std::uint8_t(rng.next());
+
+        ++issued;
+        switch (rng.below(4)) {
+          case 0:
+            ref[li] = data;
+            sys.port().write(addr, data, count);
+            break;
+          case 1: {
+            ByteEnable en;
+            for (int b = 0; b < 128; ++b)
+                if (rng.chance(0.4))
+                    en.set(b);
+            for (int b = 0; b < 128; ++b)
+                if (en[b])
+                    ref[li][b] = data[b];
+            sys.port().partialWrite(addr, data, en, count);
+            break;
+          }
+          case 2:
+            sys.port().read(addr, [&, op, want = ref[li]](
+                                      const HostOpResult &r) {
+                EXPECT_EQ(r.data, want) << "read op " << op;
+                count(r);
+            });
+            break;
+          default:
+            sys.port().flush(count);
+            break;
+        }
+        if (rng.chance(0.1)) {
+            ASSERT_TRUE(sys.runUntilIdle(milliseconds(1)));
+        }
+    }
+    ASSERT_TRUE(sys.runUntilIdle(milliseconds(1)));
+    EXPECT_EQ(completed, issued);
+
+    for (unsigned li = 0; li < lines; ++li) {
+        CacheLine out;
+        sys.functionalRead(Addr(li) * 128, 128, out.data());
+        EXPECT_EQ(out, ref[li]) << "line " << li;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CentaurFuzz,
+    ::testing::Combine(::testing::Values(101, 202, 303, 404, 505, 606),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param))
+            + (std::get<1>(info.param) ? "_optimized" : "_conservative");
+    });
 
 } // namespace

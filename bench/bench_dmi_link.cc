@@ -92,9 +92,9 @@ BM_LinkSaturation(benchmark::State &state)
         ClockDomain fabric("fabric", 4000);
         stats::StatGroup root("root");
         DmiChannel down("down", eq, fabric, &root,
-                        DmiChannel::Params{14, 125, 0, 0.0, 1});
+                        DmiChannel::Params{14, 125, 0.0, 1});
         DmiChannel up("up", eq, fabric, &root,
-                      DmiChannel::Params{21, 125, 0, 0.0, 2});
+                      DmiChannel::Params{21, 125, 0.0, 2});
         int delivered = 0;
         down.setSink([&](const WireFrame &) { ++delivered; });
         up.setSink([&](const WireFrame &) { ++delivered; });

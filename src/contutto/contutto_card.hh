@@ -74,7 +74,6 @@ class ContuttoCard : public SimObject
             /*rxProcCycles=*/3,
             /*ackTimeout=*/nanoseconds(400),
             /*freezeRepeats=*/4,
-            /*ackCoalesceCycles=*/1,
             /*windowLimit=*/120,
         };
         Mbs::Params mbs;

@@ -14,18 +14,14 @@ MemoryChannel::MemoryChannel(const std::string &name, EventQueue &eq,
 {
     ct_assert(!params_.dimms.empty());
 
-    Tick lane = params_.lanePeriod;
-    if (lane == 0)
-        lane = params_.buffer == BufferKind::contutto ? 125 : 104;
-
+    const Tick lane = lanePeriod(params_.buffer);
     down_ = std::make_unique<DmiChannel>(
         name + ".down", eq, clocks.fabric, this,
-        DmiChannel::Params{14, lane, nanoseconds(1),
-                           params_.channelErrorRate, params_.seed});
+        DmiChannel::Params{14, lane, params_.channelErrorRate,
+                           params_.seed});
     up_ = std::make_unique<DmiChannel>(
         name + ".up", eq, clocks.fabric, this,
-        DmiChannel::Params{21, lane, nanoseconds(1),
-                           params_.channelErrorRate,
+        DmiChannel::Params{21, lane, params_.channelErrorRate,
                            params_.seed + 1});
 
     HostLink::Params host_params;

@@ -34,6 +34,14 @@ enum class BufferKind
     contutto,
 };
 
+/** DMI lane unit interval for @p buffer: 125 ps = 8 Gb/s for
+ *  ConTutto, 104 ps ~ 9.6 Gb/s for Centaur. */
+constexpr Tick
+lanePeriod(BufferKind buffer)
+{
+    return buffer == BufferKind::contutto ? 125 : 104;
+}
+
 /** Description of one DIMM plugged behind the buffer. */
 struct DimmSpec
 {
@@ -63,9 +71,6 @@ struct ChannelParams
     /** Two default DIMMs, value-initialized in place (a braced
      *  list of temporaries trips GCC 12's -Wmaybe-uninitialized). */
     std::vector<DimmSpec> dimms = std::vector<DimmSpec>(2);
-    /** Lane unit interval; 0 = pick by buffer kind (125 ps for
-     *  ConTutto, 104 ps ~ 9.6 Gb/s for Centaur). */
-    Tick lanePeriod = 0;
     double channelErrorRate = 0.0;
     dmi::LinkTrainer::Params training{};
     /** Fixed processor-side latency per memory command. */

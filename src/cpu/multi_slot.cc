@@ -8,6 +8,19 @@
 namespace contutto::cpu
 {
 
+namespace
+{
+
+/** The buffer in a populated slot. */
+BufferKind
+bufferOf(SlotKind kind)
+{
+    return kind == SlotKind::contutto ? BufferKind::contutto
+                                      : BufferKind::centaur;
+}
+
+} // namespace
+
 MultiSlotSystem::Validation
 MultiSlotSystem::validate(const Params &params)
 {
@@ -59,15 +72,12 @@ MultiSlotSystem::deriveWindow(const Params &params)
         const SlotSpec &spec = params.slots[s];
         if (spec.kind == SlotKind::empty)
             continue;
-        // Same default the channel itself applies (channel.cc).
-        Tick ui = spec.channel.lanePeriod
-            ? spec.channel.lanePeriod
-            : (spec.kind == SlotKind::contutto ? Tick(125)
-                                               : Tick(104));
+        const Tick ui = lanePeriod(bufferOf(spec.kind));
         const std::size_t bits = dmi::downFrameBytes * 8;
         const Tick ser =
             Tick((bits + link.lanes - 1) / link.lanes) * ui;
-        minFrame = std::min(minFrame, ser + link.flightTime);
+        minFrame =
+            std::min(minFrame, ser + dmi::DmiChannel::flightTime);
     }
     ct_assert(minFrame != maxTick);
     return minFrame * 1024;
@@ -112,9 +122,7 @@ MultiSlotSystem::MultiSlotSystem(const Params &params)
         if (spec.kind == SlotKind::empty)
             continue;
         ChannelParams cp = spec.channel;
-        cp.buffer = spec.kind == SlotKind::contutto
-            ? BufferKind::contutto
-            : BufferKind::centaur;
+        cp.buffer = bufferOf(spec.kind);
         cp.seed = spec.channel.seed + s * 101;
         const unsigned idx = unsigned(channels_.size());
         channels_.push_back(std::make_unique<MemoryChannel>(

@@ -16,7 +16,6 @@ DmiChannel::DmiChannel(const std::string &name, EventQueue &eq,
              {this, "spareActivations", "hard failures spared"}}
 {
     ct_assert(params_.lanes > 0 && params_.bitPeriod > 0);
-    spareLanes_ = params_.spareLanes;
 }
 
 void
@@ -24,7 +23,7 @@ DmiChannel::failLane(unsigned lane)
 {
     ct_assert(lane < params_.lanes);
     ++lanesFailed_;
-    if (lanesFailed_ <= spareLanes_) {
+    if (lanesFailed_ <= spareLanes) {
         // The spare takes over transparently; the service processor
         // would log this for predictive maintenance.
         ++stats_.spareActivations;
@@ -131,15 +130,9 @@ DmiChannel::deliver()
 
     // Flight time is pure wire delay; model it with a deferred
     // delivery so back-to-back frames pipeline correctly.
-    if (sink_) {
-        if (params_.flightTime == 0) {
-            sink_(arrived);
-        } else {
-            OneShotEvent::schedule(
-                eventq(), curTick() + params_.flightTime,
-                [this, arrived] { sink_(arrived); });
-        }
-    }
+    if (sink_)
+        OneShotEvent::schedule(eventq(), curTick() + flightTime,
+                               [this, arrived] { sink_(arrived); });
 }
 
 void

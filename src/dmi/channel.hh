@@ -35,15 +35,17 @@ class DmiChannel : public SimObject
         unsigned lanes = 14;
         /** One unit interval; 125 ps = 8 Gb/s (ConTutto speed). */
         Tick bitPeriod = 125;
-        /** Time of flight over the board trace. */
-        Tick flightTime = nanoseconds(1);
         /** Probability that a carried frame takes a bit flip. */
         double frameErrorRate = 0.0;
         /** RNG seed for error injection. */
         std::uint64_t seed = 1;
-        /** Spare lanes available for hard-failure repair. */
-        unsigned spareLanes = 1;
     };
+
+    /** Time of flight over the board trace. */
+    static constexpr Tick flightTime = nanoseconds(1);
+
+    /** Spare lanes available for hard-failure repair. */
+    static constexpr unsigned spareLanes = 1;
 
     DmiChannel(const std::string &name, EventQueue &eq,
                const ClockDomain &domain, stats::StatGroup *parent,
@@ -109,7 +111,7 @@ class DmiChannel : public SimObject
     void repairAllLanes();
     unsigned lanesFailed() const { return lanesFailed_; }
     bool spareInUse() const { return lanesFailed_ >= 1; }
-    bool degraded() const { return lanesFailed_ > spareLanes_; }
+    bool degraded() const { return lanesFailed_ > spareLanes; }
     /** @} */
 
     /** Reset both scramblers to a common seed (end of training). */
@@ -163,7 +165,6 @@ class DmiChannel : public SimObject
     unsigned burstBitsLeft_ = 0;
     unsigned dropBudget_ = 0;
     unsigned lanesFailed_ = 0;
-    unsigned spareLanes_ = 1;
     EventFunctionWrapper serializeDone_;
     ChannelStats stats_;
 };

@@ -186,7 +186,7 @@ LinkEndpoint<TxF, RxF>::scheduleAckCarrier()
 {
     ackPending_ = true;
     if (!ackEvent_.scheduled())
-        scheduleClocked(&ackEvent_, params_.ackCoalesceCycles);
+        scheduleClocked(&ackEvent_, ackCoalesceCycles);
 }
 
 template <typename TxF, typename RxF>

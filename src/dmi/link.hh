@@ -74,11 +74,13 @@ class LinkEndpoint : public SimObject
          * replay buffer takes over (ConTutto freeze workaround).
          */
         unsigned freezeRepeats = 0;
-        /** Delay before an idle frame is emitted to carry an ACK. */
-        unsigned ackCoalesceCycles = 1;
         /** Max unacked frames before new sends queue internally. */
         unsigned windowLimit = 120;
     };
+
+    /** Delay, in own-clock cycles, before an idle frame is emitted
+     *  to carry an ACK. */
+    static constexpr unsigned ackCoalesceCycles = 1;
 
     LinkEndpoint(const std::string &name, EventQueue &eq,
                  const ClockDomain &domain, stats::StatGroup *parent,

@@ -1,5 +1,7 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+
 namespace contutto
 {
 
@@ -31,7 +33,29 @@ EventQueue::EventQueue()
       _summary(numSummaryWords, 0)
 {}
 
-EventQueue::~EventQueue() = default;
+EventQueue::~EventQueue()
+{
+    // Destroy the one-shots still pending, and with them their
+    // captures. Any other event panics in ~Event if it is destroyed
+    // while scheduled, so every pool slot off the freelist is a live
+    // one-shot. Walk the pool, not the overflow heap: stale heap
+    // entries may point at events whose owners are already gone.
+    std::vector<const void *> freeSlots;
+    for (const OneShotSlot *s = _freeOneShots; s; s = s->next)
+        freeSlots.push_back(s);
+    std::sort(freeSlots.begin(), freeSlots.end());
+    for (const auto &chunk : _poolChunks) {
+        for (std::size_t i = 0; i < oneShotChunkSlots; ++i) {
+            void *slot = chunk.get() + i * oneShotSlotBytes;
+            if (std::binary_search(freeSlots.begin(), freeSlots.end(),
+                                   slot))
+                continue;
+            auto *ev = static_cast<OneShotEvent *>(slot);
+            deschedule(ev);
+            ev->~OneShotEvent();
+        }
+    }
+}
 
 void
 EventQueue::markOccupied(std::size_t idx)

@@ -45,7 +45,7 @@ SpscMailbox::push(Message &&m)
     std::size_t next = (tail + 1) % slots_.size();
     if (next == head_.load(std::memory_order_acquire))
         panic("cross-shard mailbox overflow (%zu messages in one "
-              "window); raise Params::mailboxCapacity",
+              "window); narrow ShardedExecutor::Params::window",
               slots_.size() - 1);
     slots_[tail] = std::move(m);
     tail_.store(next, std::memory_order_release);
@@ -78,8 +78,8 @@ ShardedExecutor::ShardedExecutor(const Params &params)
         shard->eq = std::make_unique<EventQueue>();
         shard->inbox.reserve(params.shards);
         for (unsigned src = 0; src < params.shards; ++src)
-            shard->inbox.push_back(std::make_unique<SpscMailbox>(
-                params.mailboxCapacity));
+            shard->inbox.push_back(
+                std::make_unique<SpscMailbox>(mailboxCapacity));
         shard->nextSeq.assign(params.shards, 0);
         shards_.push_back(std::move(shard));
     }

@@ -130,9 +130,10 @@ class ShardedExecutor
         /** Window width = conservative lookahead, in ticks. */
         Tick window = defaultWindow();
         Mode mode = Mode::parallel;
-        /** Per directed shard pair, messages per window. */
-        std::size_t mailboxCapacity = 4096;
     };
+
+    /** Per directed shard pair, messages per window. */
+    static constexpr std::size_t mailboxCapacity = 4096;
 
     /**
      * The default lookahead: the DMI link's minimum frame latency.

@@ -13,6 +13,7 @@
 #ifndef CONTUTTO_STORAGE_BLOCK_DEVICE_HH
 #define CONTUTTO_STORAGE_BLOCK_DEVICE_HH
 
+#include <deque>
 #include <functional>
 #include <string>
 
@@ -38,27 +39,50 @@ struct BlockRequest
     std::function<void(const BlockRequest &)> onDone;
 };
 
-/** Abstract persistent store. */
+/**
+ * Abstract persistent store, and the one request queue every device
+ * shares: a FIFO in front of a fixed number of servers (internal
+ * channels, queue pairs, or the single actuator of a disk).
+ *
+ * submit() stamps the request and hands it to a free server or
+ * queues it. A device only implements start(), and calls finish()
+ * when a started request is done. finish() runs the stats and
+ * onDone first, and only then does the server take the next queued
+ * request; so a request submitted from inside onDone queues behind
+ * the ones already waiting.
+ */
 class BlockDevice : public SimObject
 {
   public:
     BlockDevice(const std::string &name, EventQueue &eq,
                 const ClockDomain &domain, stats::StatGroup *parent,
-                std::uint64_t capacity_blocks)
+                std::uint64_t capacity_blocks, unsigned servers = 1)
         : SimObject(name, eq, domain, parent),
-          capacityBlocks_(capacity_blocks),
+          capacityBlocks_(capacity_blocks), servers_(servers),
           ioStats_{{this, "readOps", "read requests completed"},
                    {this, "writeOps", "write requests completed"},
                    {this, "failedOps",
                     "requests failed (power cut, reset)"},
                    {this, "readLatency", "read latency (us)"},
                    {this, "writeLatency", "write latency (us)"}}
-    {}
+    {
+        ct_assert(servers_ > 0);
+    }
 
     virtual ~BlockDevice() = default;
 
     /** Queue a block request; completion via req.onDone. */
-    virtual void submit(BlockRequest req) = 0;
+    virtual void
+    submit(BlockRequest req)
+    {
+        req.issuedAt = curTick();
+        if (busy_ < servers_) {
+            ++busy_;
+            start(std::move(req));
+        } else {
+            queue_.push_back(std::move(req));
+        }
+    }
 
     /** Short technology/attach description for reports. */
     virtual std::string describe() const = 0;
@@ -77,36 +101,70 @@ class BlockDevice : public SimObject
     const IoStats &ioStats() const { return ioStats_; }
 
   protected:
-    /** Subclasses call this when a request finishes. */
+    /** Serve @p req on the server submit() or finish() took for it. */
+    virtual void start(BlockRequest req) = 0;
+
+    /** A started request is done (or, @p failed, abandoned): stats
+     *  and onDone, then its server takes the next queued request or
+     *  goes idle. */
     void
-    complete(BlockRequest &req)
+    finish(BlockRequest &req, bool failed = false)
+    {
+        record(req, failed);
+        if (queue_.empty()) {
+            --busy_;
+            return;
+        }
+        BlockRequest next = std::move(queue_.front());
+        queue_.pop_front();
+        start(std::move(next));
+    }
+
+    /** Fail a request no server took: no latency sample, no
+     *  durability promise. */
+    void reject(BlockRequest &req) { record(req, true); }
+
+    /** Reject every queued request (a power cut). */
+    void
+    rejectQueued()
+    {
+        while (!queue_.empty()) {
+            BlockRequest req = std::move(queue_.front());
+            queue_.pop_front();
+            reject(req);
+        }
+    }
+
+    /** No request in service and none queued. */
+    bool idle() const { return busy_ == 0 && queue_.empty(); }
+
+  private:
+    void
+    record(BlockRequest &req, bool failed)
     {
         req.completedAt = curTick();
-        double us = ticksToNs(req.completedAt - req.issuedAt) / 1000.0;
-        if (req.isWrite) {
-            ++ioStats_.writeOps;
-            ioStats_.writeLatency.sample(us);
+        if (failed) {
+            req.failed = true;
+            ++ioStats_.failedOps;
         } else {
-            ++ioStats_.readOps;
-            ioStats_.readLatency.sample(us);
+            double us = ticksToNs(req.completedAt - req.issuedAt)
+                / 1000.0;
+            if (req.isWrite) {
+                ++ioStats_.writeOps;
+                ioStats_.writeLatency.sample(us);
+            } else {
+                ++ioStats_.readOps;
+                ioStats_.readLatency.sample(us);
+            }
         }
         if (req.onDone)
             req.onDone(req);
     }
 
-    /** Subclasses call this when a request is abandoned: no
-     *  latency sample, no durability promise. */
-    void
-    fail(BlockRequest &req)
-    {
-        req.failed = true;
-        req.completedAt = curTick();
-        ++ioStats_.failedOps;
-        if (req.onDone)
-            req.onDone(req);
-    }
-
-    std::uint64_t capacityBlocks_;
+    const std::uint64_t capacityBlocks_;
+    const unsigned servers_;
+    unsigned busy_ = 0;
+    std::deque<BlockRequest> queue_;
     IoStats ioStats_;
 };
 

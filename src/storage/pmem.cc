@@ -92,14 +92,12 @@ PmemBlockDevice::fillLine(std::uint8_t *line, std::uint64_t lba,
 void
 PmemBlockDevice::submit(BlockRequest req)
 {
-    req.issuedAt = curTick();
     if (offline_) {
-        fail(req);
+        req.issuedAt = curTick();
+        reject(req);
         return;
     }
-    queue_.push_back(std::move(req));
-    if (!busy_)
-        startNext();
+    BlockDevice::submit(std::move(req));
 }
 
 void
@@ -111,21 +109,13 @@ PmemBlockDevice::powerCut()
     // The current request (if any) finishes as failed when its
     // aborted line/flush callbacks land or its driver-delay event
     // fires; everything still queued dies here.
-    for (BlockRequest &req : queue_)
-        fail(req);
-    queue_.clear();
+    rejectQueued();
 }
 
 void
-PmemBlockDevice::startNext()
+PmemBlockDevice::start(BlockRequest req)
 {
-    if (queue_.empty()) {
-        busy_ = false;
-        return;
-    }
-    busy_ = true;
-    current_ = std::move(queue_.front());
-    queue_.pop_front();
+    current_ = std::move(req);
     currentFailed_ = false;
     currentSeq_ = current_.isWrite ? ++writeSeq_ : 0;
 
@@ -148,11 +138,7 @@ PmemBlockDevice::finishCurrent()
         span::closeAll(currentTraceId_, curTick());
         currentTraceId_ = noTraceId;
     }
-    if (currentFailed_)
-        fail(current_);
-    else
-        complete(current_);
-    startNext();
+    finish(current_, currentFailed_);
 }
 
 void
@@ -320,8 +306,7 @@ restoreLedger(std::unordered_map<std::uint64_t, std::uint64_t> &ledger,
 void
 PmemBlockDevice::checkpointSave(ckpt::Section &out) const
 {
-    if (busy_ || !queue_.empty() || linesOutstanding_ != 0
-        || flushOutstanding_)
+    if (!idle() || linesOutstanding_ != 0 || flushOutstanding_)
         panic("pmem checkpoint with requests outstanding");
     out.putU64(writeSeq_);
     out.putU8(offline_ ? 1 : 0);
@@ -332,8 +317,7 @@ PmemBlockDevice::checkpointSave(ckpt::Section &out) const
 void
 PmemBlockDevice::checkpointRestore(ckpt::Section &in)
 {
-    if (busy_ || !queue_.empty() || linesOutstanding_ != 0
-        || flushOutstanding_)
+    if (!idle() || linesOutstanding_ != 0 || flushOutstanding_)
         panic("pmem restore with requests outstanding");
     writeSeq_ = in.getU64();
     offline_ = in.getU8() != 0;

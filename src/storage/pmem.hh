@@ -25,7 +25,6 @@
 #ifndef CONTUTTO_STORAGE_PMEM_HH
 #define CONTUTTO_STORAGE_PMEM_HH
 
-#include <deque>
 #include <unordered_map>
 
 #include "cpu/system.hh"
@@ -150,7 +149,7 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
     /** @} */
 
   private:
-    void startNext();
+    void start(BlockRequest req) override;
     void issueLines(const BlockRequest &req);
     void finishCurrent();
     void fillLine(std::uint8_t *line, std::uint64_t lba,
@@ -158,8 +157,6 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
 
     cpu::Power8System &sys_;
     Params params_;
-    std::deque<BlockRequest> queue_;
-    bool busy_ = false;
     bool offline_ = false;
     BlockRequest current_;
     /** Block-level trace id: one span over the whole 4 KiB op. */

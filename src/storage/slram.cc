@@ -13,24 +13,10 @@ SlramBlockDevice::SlramBlockDevice(const std::string &name,
 {}
 
 void
-SlramBlockDevice::submit(BlockRequest req)
+SlramBlockDevice::start(BlockRequest req)
 {
-    req.issuedAt = curTick();
-    queue_.push_back(std::move(req));
-    if (!busy_)
-        startNext();
-}
-
-void
-SlramBlockDevice::startNext()
-{
-    if (queue_.empty()) {
-        busy_ = false;
-        return;
-    }
-    busy_ = true;
-    current_ = std::move(queue_.front());
-    queue_.pop_front();
+    current_ = std::move(req);
+    currentFailed_ = false;
     OneShotEvent::schedule(eventq(),
                            curTick() + params_.driverCost,
                            [this] { issueLines(current_); });
@@ -47,14 +33,16 @@ SlramBlockDevice::issueLines(const BlockRequest &req)
     Addr base = params_.regionBase + req.lba * blockSize;
     for (unsigned i = 0; i < total; ++i) {
         Addr addr = base + Addr(i) * dmi::cacheLineSize;
-        auto line_done = [this](const cpu::HostOpResult &) {
+        auto line_done = [this](const cpu::HostOpResult &r) {
             ct_assert(linesOutstanding_ > 0);
+            if (r.failed)
+                currentFailed_ = true;
             if (--linesOutstanding_ > 0)
                 return;
             // No flush: acknowledged as soon as the line commands
-            // complete at the buffer — the raw-RAM semantics.
-            complete(current_);
-            startNext();
+            // complete at the buffer — the raw-RAM semantics. An
+            // aborted line fails the request.
+            finish(current_, currentFailed_);
         };
         if (req.isWrite) {
             dmi::CacheLine line{};

@@ -15,8 +15,6 @@
 #ifndef CONTUTTO_STORAGE_SLRAM_HH
 #define CONTUTTO_STORAGE_SLRAM_HH
 
-#include <deque>
-
 #include "cpu/system.hh"
 #include "storage/block_device.hh"
 
@@ -39,8 +37,6 @@ class SlramBlockDevice : public BlockDevice
     SlramBlockDevice(const std::string &name, cpu::Power8System &sys,
                      stats::StatGroup *parent, const Params &params);
 
-    void submit(BlockRequest req) override;
-
     std::string
     describe() const override
     {
@@ -49,15 +45,14 @@ class SlramBlockDevice : public BlockDevice
     }
 
   private:
-    void startNext();
+    void start(BlockRequest req) override;
     void issueLines(const BlockRequest &req);
 
     cpu::Power8System &sys_;
     Params params_;
-    std::deque<BlockRequest> queue_;
-    bool busy_ = false;
     BlockRequest current_;
     unsigned linesOutstanding_ = 0;
+    bool currentFailed_ = false;
 };
 
 } // namespace contutto::storage

@@ -32,11 +32,9 @@ struct LinkPair
     explicit LinkPair(double error_rate = 0.0,
                       std::uint64_t seed_base = 100)
         : down("down", eq, fabric, &root,
-               DmiChannel::Params{14, 125, nanoseconds(1), error_rate,
-                                  seed_base + 1}),
+               DmiChannel::Params{14, 125, error_rate, seed_base + 1}),
           up("up", eq, fabric, &root,
-             DmiChannel::Params{21, 125, nanoseconds(1), error_rate,
-                                seed_base + 2}),
+             DmiChannel::Params{21, 125, error_rate, seed_base + 2}),
           host("host", eq, nest, &root, {}, down, up),
           buffer("buffer", eq, fabric, &root, {}, up, down)
     {}

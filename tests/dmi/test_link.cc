@@ -31,11 +31,9 @@ struct LinkPair
                       HostLink::Params host_params = {},
                       BufferLink::Params buffer_params = {})
         : down("down", eq, fabric, &root,
-               DmiChannel::Params{14, 125, nanoseconds(1), error_rate,
-                                  101}),
+               DmiChannel::Params{14, 125, error_rate, 101}),
           up("up", eq, fabric, &root,
-             DmiChannel::Params{21, 125, nanoseconds(1), error_rate,
-                                202}),
+             DmiChannel::Params{21, 125, error_rate, 202}),
           host("host", eq, nest, &root, host_params, down, up),
           buffer("buffer", eq, fabric, &root, buffer_params, up, down)
     {}

@@ -33,9 +33,9 @@ struct LinkPair
     explicit LinkPair(HostLink::Params host_params = {},
                       BufferLink::Params buffer_params = {})
         : down("down", eq, fabric, &root,
-               DmiChannel::Params{14, 125, nanoseconds(1), 0.0, 31}),
+               DmiChannel::Params{14, 125, 0.0, 31}),
           up("up", eq, fabric, &root,
-             DmiChannel::Params{21, 125, nanoseconds(1), 0.0, 32}),
+             DmiChannel::Params{21, 125, 0.0, 32}),
           host("host", eq, nest, &root, host_params, down, up),
           buffer("buffer", eq, fabric, &root, buffer_params, up, down)
     {}

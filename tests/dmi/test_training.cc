@@ -23,9 +23,9 @@ struct TrainRig
 
     explicit TrainRig(BufferLink::Params buffer_params = {})
         : down("down", eq, fabric, &root,
-               DmiChannel::Params{14, 125, nanoseconds(1), 0.0, 1}),
+               DmiChannel::Params{14, 125, 0.0, 1}),
           up("up", eq, fabric, &root,
-             DmiChannel::Params{21, 125, nanoseconds(1), 0.0, 2}),
+             DmiChannel::Params{21, 125, 0.0, 2}),
           host("host", eq, nest, &root, {}, down, up),
           buffer("buffer", eq, fabric, &root, buffer_params, up, down)
     {}

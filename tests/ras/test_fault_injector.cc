@@ -245,12 +245,9 @@ TEST(FaultInjector, ChannelFaultsRideTheRealLink)
     InjectorBench b;
     ClockDomain fabric{"fabric", 4000};
     dmi::DmiChannel down("down", b.eq, fabric, &b.root,
-                         dmi::DmiChannel::Params{14, 125,
-                                                 nanoseconds(1), 0.0,
-                                                 11});
+                         dmi::DmiChannel::Params{14, 125, 0.0, 11});
     dmi::DmiChannel up("up", b.eq, fabric, &b.root,
-                       dmi::DmiChannel::Params{21, 125, nanoseconds(1),
-                                               0.0, 12});
+                       dmi::DmiChannel::Params{21, 125, 0.0, 12});
     dmi::HostLink host("host", b.eq, b.nest, &b.root, {}, down, up);
     dmi::BufferLink buffer("buffer", b.eq, fabric, &b.root, {}, up,
                            down);

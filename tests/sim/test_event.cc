@@ -296,6 +296,31 @@ TEST(EventQueue, OneShotCallbackCanScheduleOneShots)
     EXPECT_EQ(eq.curTick(), 15u);
 }
 
+TEST(EventQueue, DestructionReleasesPendingOneShots)
+{
+    auto owned = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = owned;
+    {
+        EventQueue eq;
+        // One in the wheel, one beyond its horizon, one that fired
+        // (its slot is back on the freelist), one descheduled
+        // persistent event leaving a stale overflow entry behind.
+        OneShotEvent::schedule(eq, 100, [owned] {});
+        OneShotEvent::schedule(eq, EventQueue::wheelSpan * 4,
+                               [owned] {});
+        OneShotEvent::schedule(eq, 10, [owned] {});
+        {
+            EventFunctionWrapper gone([] {}, "gone");
+            eq.schedule(&gone, EventQueue::wheelSpan * 8);
+            eq.deschedule(&gone);
+        }
+        eq.run(50);
+        owned.reset();
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_TRUE(watch.expired());
+}
+
 TEST(InplaceFunction, InvokesAndMoves)
 {
     int calls = 0;
